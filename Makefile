@@ -25,14 +25,17 @@ test-short:
 # internal packages (the telemetry registry/span tree, series store and the
 # watch monitor first — spans/exporter/series ticks/alert evaluation cross
 # goroutines in every binary — then the parallel sweeps and shared caches),
-# the full suite, a short fuzz pass over the ingestion surfaces (10s per
-# target, seeded from the checked-in torn/corrupt corpora), and a
+# the Sync-ordering stress test at GOMAXPROCS 1 and 2, the full suite, a
+# short fuzz pass over the ingestion surfaces (10s per target, seeded from
+# the checked-in torn/corrupt corpora; FuzzStoreScan also checks the stats
+# index and Recover's fast path against their slow paths), and a
 # report-only bench-gate comparison against the committed render trajectory
 # (shared CI runners are too noisy to enforce here; nightly enforces).
 check: build vet
 	$(GO) test -race ./internal/obs/ ./internal/obs/series/ ./internal/watch/ ./internal/webaudio/ ./internal/diag/
 	$(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/...
+	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestSyncAcknowledgesPostApplyEffects$$' -count=50 ./internal/streaming/ || exit 1; done
 	$(GO) test ./...
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/collectserver/

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 func TestIdempotentReplay(t *testing.T) {
@@ -129,28 +130,30 @@ func TestOverloadShedding(t *testing.T) {
 		}
 	}()
 
-	// Wait until the slot is actually held, then expect sheds.
-	shedSeen := false
-	for i := 0; i < 200 && !shedSeen; i++ {
-		resp, err := http.Get(f.ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
+	// Wait until the slot is actually held, then the very next request
+	// must be shed.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(f.srv.inflight) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocked request never took the in-flight slot")
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			shedSeen = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("shed response missing Retry-After")
-			}
-		}
-		resp.Body.Close()
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Get(f.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request against a saturated server: %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed response missing Retry-After")
 	}
 	pw.Close()
 	<-done
-	if !shedSeen {
-		t.Fatal("saturated server never shed a request")
-	}
 	// With the slot released, requests flow again.
-	resp, err := http.Get(f.ts.URL + "/healthz")
+	resp, err = http.Get(f.ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,16 +44,26 @@ import (
 	"repro/internal/watch"
 )
 
-// Config parameterizes the server.
 // RecordStore is the persistence surface the server writes to and reads
 // back: a single storage.Store, or shard.Stores fanning appends across a
 // per-shard segment chain. Append must be safe for concurrent use;
-// All/WriteTo serve the stats and export routes.
+// WriteTo serves the export route, and All is the stats route's fallback
+// for stores that do not implement StatsStore.
 type RecordStore interface {
 	Append(recs ...storage.Record) error
 	All() ([]storage.Record, error)
 	WriteTo(w io.Writer) (int64, error)
 	Count() int
+}
+
+// StatsStore is an optional RecordStore extension, checked with a type
+// assertion the way io.Copy checks for io.WriterTo: a store that keeps a
+// storage.StatsIndex as it appends answers GET /api/v1/stats in
+// O(vectors) instead of a full scan. *storage.Store and *shard.Stores
+// implement it; a decorator that wraps a store without forwarding Stats
+// gets the All() fallback, counted by the same index type.
+type StatsStore interface {
+	Stats() storage.Stats
 }
 
 // Analytics is the serving side of the live analytics plane: a single
@@ -69,6 +79,7 @@ type Analytics interface {
 	Status() streaming.StatusSnapshot
 }
 
+// Config parameterizes the server.
 type Config struct {
 	// Store receives accepted records. Required. Concrete implementations:
 	// *storage.Store (single) and *shard.Stores (partitioned). Beware the
@@ -593,39 +604,48 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	filter := r.URL.Query().Get("vector")
-	recs, err := s.cfg.Store.All()
+	st, err := s.storeStats()
 	if err != nil {
 		respondError(w, http.StatusInternalServerError, CodeStorageFailure, "storage failure")
 		return
 	}
-	perVector := map[string]int{}
-	users := map[string]struct{}{}
-	for _, rec := range recs {
-		if filter != "" && rec.Vector != filter {
-			continue
+	resp := StatsResponse{Records: st.Records, Users: st.Users, PerVector: map[string]int{}, Vector: filter}
+	if filter == "" {
+		for name, v := range st.Vectors {
+			resp.PerVector[name] = v.Records
 		}
-		perVector[rec.Vector]++
-		users[rec.UserID] = struct{}{}
-	}
-	total := 0
-	for _, n := range perVector {
-		total += n
-	}
-	if filter != "" && total == 0 {
-		// Distinguish "no records yet" from "you asked for a vector that
-		// can never exist" — the latter is a client bug worth a 400.
-		if !knownVectorName(filter) {
+	} else {
+		v := st.Vectors[filter]
+		resp.Records, resp.Users = v.Records, v.Users
+		if v.Records > 0 {
+			resp.PerVector[filter] = v.Records
+		} else if !knownVectorName(filter) {
+			// Distinguish "no records yet" from "you asked for a vector
+			// that can never exist" — the latter is a client bug worth a
+			// 400.
 			respondError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("unknown vector %q", filter))
 			return
 		}
 	}
-	respondJSON(w, http.StatusOK, StatsResponse{
-		Records:   total,
-		Users:     len(users),
-		PerVector: perVector,
-		Vector:    filter,
-	})
+	respondJSON(w, http.StatusOK, resp)
+}
+
+// storeStats reads the store's stats index, or counts a full read through
+// the same index type when the store keeps none (see StatsStore).
+func (s *Server) storeStats() (storage.Stats, error) {
+	if ss, ok := s.cfg.Store.(StatsStore); ok {
+		return ss.Stats(), nil
+	}
+	recs, err := s.cfg.Store.All()
+	if err != nil {
+		return storage.Stats{}, err
+	}
+	var idx storage.StatsIndex
+	for i := range recs {
+		idx.Add(&recs[i])
+	}
+	return idx.Stats(), nil
 }
 
 // knownVectorName reports whether name is one of the seven audio vectors or

@@ -59,16 +59,7 @@ func OpenStores(base string, n int, opts storage.Options) (*Stores, error) {
 			return nil, err
 		}
 		ss.stores = append(ss.stores, st)
-		recs, err := st.All()
-		if err != nil {
-			ss.Close()
-			return nil, err
-		}
-		for i := range recs {
-			if recs[i].Seq >= ss.nextSeq {
-				ss.nextSeq = recs[i].Seq + 1
-			}
-		}
+		ss.nextSeq = max(ss.nextSeq, st.MaxSeq()+1)
 	}
 	return ss, nil
 }
@@ -154,6 +145,25 @@ func (ss *Stores) Recover() ([]storage.RecoverReport, error) {
 		reports[i] = rep
 	}
 	return reports, nil
+}
+
+// Stats sums the per-shard stats indexes (storage.Store.Stats). The sum is
+// exact, distinct-user counts included, because Of places every record of
+// one user on the same shard: no user is counted by two shards.
+func (ss *Stores) Stats() storage.Stats {
+	sum := storage.Stats{Vectors: map[string]storage.VectorStats{}}
+	for _, st := range ss.stores {
+		s := st.Stats()
+		sum.Records += s.Records
+		sum.Users += s.Users
+		for name, v := range s.Vectors {
+			acc := sum.Vectors[name]
+			acc.Records += v.Records
+			acc.Users += v.Users
+			sum.Vectors[name] = acc
+		}
+	}
+	return sum
 }
 
 // Count returns the total persisted record count across shards.

@@ -141,13 +141,36 @@ type Store struct {
 	mu       sync.Mutex
 	f        *os.File
 	w        *bufio.Writer
-	count    int
+	tally    tally
 	segBytes int64
 	sealed   []string // sealed segment paths, oldest first
 	seq      uint64   // append batches flushed so far
 
+	// activeClean records that the active file holds only complete,
+	// valid, '\n'-terminated lines — nothing Recover would drop — and
+	// that nothing has been appended since that was established (by
+	// Open's scan or the last Recover). activeRecords is how many records
+	// those lines hold. Recover then has nothing to re-read.
+	activeClean   bool
+	activeRecords int
+
 	syncMu    sync.Mutex
 	syncedSeq uint64 // append batches known durable (guarded by syncMu)
+}
+
+// tally is what a store knows about its records without re-reading them.
+// Open builds it in its scan, Append extends it exactly where the record
+// count grows, and Recover rebuilds it with the count.
+type tally struct {
+	count  int
+	maxSeq int64
+	stats  StatsIndex
+}
+
+func (t *tally) add(r *Record) {
+	t.count++
+	t.maxSeq = max(t.maxSeq, r.Seq)
+	t.stats.Add(r)
 }
 
 // Options configures Open.
@@ -160,10 +183,10 @@ type Options struct {
 	MaxSegmentBytes int64
 }
 
-// Open opens (creating if needed) the store at path and counts existing
-// records across sealed segments and the active file. Trailing partial
-// lines (crash artifacts) are tolerated and ignored; call Recover to
-// physically truncate them.
+// Open opens (creating if needed) the store at path and indexes existing
+// records across sealed segments and the active file (Count, MaxSeq,
+// Stats). Trailing partial lines (crash artifacts) are tolerated and
+// ignored; call Recover to physically truncate them.
 func Open(path string, opts Options) (*Store, error) {
 	sealed, err := sealedSegments(path)
 	if err != nil {
@@ -182,10 +205,23 @@ func Open(path string, opts Options) (*Store, error) {
 		path: path, maxSeg: opts.MaxSegmentBytes, durable: opts.SyncEveryAppend,
 		f: f, w: bufio.NewWriter(f), segBytes: st.Size(), sealed: sealed,
 	}
-	if err := s.scan(func(Record) error { s.count++; return nil }); err != nil {
-		f.Close()
-		return nil, err
+	add := func(r Record) error { s.tally.add(&r); return nil }
+	for _, seg := range sealed {
+		if err := scanFile(seg, add); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
+	// The active file is read through the handle just opened, up to the
+	// size just taken, so segBytes and the clean verdict describe the same
+	// bytes.
+	sealedRecords := s.tally.count
+	s.activeClean, err = scanRecords(io.NewSectionReader(f, 0, st.Size()), add)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: scan %s: %w", path, err)
+	}
+	s.activeRecords = s.tally.count - sealedRecords
 	return s, nil
 }
 
@@ -233,7 +269,24 @@ func (s *Store) Segments() []string {
 func (s *Store) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.count
+	return s.tally.count
+}
+
+// MaxSeq returns the highest Record.Seq among the records Count counts
+// (0 for a store nothing stamps, i.e. every unsharded one).
+func (s *Store) MaxSeq() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tally.maxSeq
+}
+
+// Stats returns the record and participant counts of the records Count
+// counts. It answers from the index Open builds and Append and Recover
+// maintain: O(vectors), no disk read.
+func (s *Store) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tally.stats.Stats()
 }
 
 // Append validates and persists records atomically with respect to other
@@ -247,6 +300,7 @@ func (s *Store) Append(recs ...Record) error {
 		}
 	}
 	s.mu.Lock()
+	s.activeClean = false
 	var bytes int64
 	for i := range recs {
 		line, err := json.Marshal(&recs[i])
@@ -266,7 +320,9 @@ func (s *Store) Append(recs ...Record) error {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: flush: %w", err)
 	}
-	s.count += len(recs)
+	for i := range recs {
+		s.tally.add(&recs[i])
+	}
 	s.segBytes += bytes
 	s.seq++
 	mySeq := s.seq
@@ -351,18 +407,38 @@ func scanFile(path string, fn func(Record) error) error {
 		return fmt.Errorf("storage: reopen %s: %w", path, err)
 	}
 	defer rf.Close()
-	sc := bufio.NewScanner(rf)
+	_, err = scanRecords(rf, fn)
+	return err
+}
+
+// scanRecords streams every valid record read from r through fn, skipping
+// corrupt, torn and CRC-mismatched lines. It also reports whether r is
+// clean by Recover's rules — every line valid and '\n'-terminated — which
+// is stricter than the scan's own: bufio.ScanLines strips a '\r' before
+// the newline and accepts an unterminated last line, Recover's split on
+// '\n' does neither.
+func scanRecords(r io.Reader, fn func(Record) error) (clean bool, err error) {
+	clean = true
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil && (adv == len(tok) || data[len(tok)] == '\r') {
+			clean = false
+		}
+		return adv, tok, err
+	})
 	for sc.Scan() {
 		var rec Record
 		if !parseLine(sc.Bytes(), &rec) {
+			clean = false
 			continue
 		}
 		if err := fn(rec); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return sc.Err()
+	return clean, sc.Err()
 }
 
 // scan streams every valid record (all segments, then the active file)
@@ -452,20 +528,28 @@ type RecoverReport struct {
 // Recover salvages the active file up to the first torn or corrupt write:
 // everything before the first bad line is kept, the bad line and everything
 // after it is physically truncated (write-ahead-log semantics — a torn
-// write means nothing after it can be trusted), and the record count is
-// rebuilt. Safe to call on a live store between appends.
+// write means nothing after it can be trusted), and the record count and
+// index are rebuilt. Safe to call on a live store between appends.
+//
+// When Open's scan (or an earlier Recover) already found the active file
+// clean and nothing has been appended since, there is nothing to drop and
+// nothing to rebuild, so Recover returns without reading the disk.
 func (s *Store) Recover() (RecoverReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.w.Flush(); err != nil {
 		return RecoverReport{}, err
 	}
+	if s.activeClean {
+		mRecoveredRecords.Add(int64(s.activeRecords))
+		return RecoverReport{SalvagedRecords: s.tally.count, TruncatedAt: s.segBytes}, nil
+	}
 	raw, err := os.ReadFile(s.path)
 	if err != nil {
 		return RecoverReport{}, fmt.Errorf("storage: recover read: %w", err)
 	}
 	var good int64
-	activeRecords := 0
+	var t tally
 	for off := int64(0); off < int64(len(raw)); {
 		nl := bytes.IndexByte(raw[off:], '\n')
 		if nl < 0 {
@@ -477,8 +561,9 @@ func (s *Store) Recover() (RecoverReport, error) {
 		}
 		off += int64(nl) + 1
 		good = off
-		activeRecords++
+		t.add(&rec)
 	}
+	activeRecords := t.count
 	dropped := int64(len(raw)) - good
 	if dropped > 0 {
 		if err := s.f.Truncate(good); err != nil {
@@ -487,17 +572,17 @@ func (s *Store) Recover() (RecoverReport, error) {
 		s.segBytes = good
 		mTruncatedBytes.Add(dropped)
 	}
-	// Rebuild the count: sealed segments (scanned leniently) + salvaged
-	// active records.
-	total := activeRecords
+	// Rebuild the tally: salvaged active records + sealed segments
+	// (scanned leniently).
 	for _, seg := range s.sealed {
-		if err := scanFile(seg, func(Record) error { total++; return nil }); err != nil {
+		if err := scanFile(seg, func(r Record) error { t.add(&r); return nil }); err != nil {
 			return RecoverReport{}, err
 		}
 	}
-	s.count = total
+	s.tally = t
+	s.activeClean, s.activeRecords = true, activeRecords
 	mRecoveredRecords.Add(int64(activeRecords))
-	return RecoverReport{SalvagedRecords: total, DroppedBytes: dropped, TruncatedAt: good}, nil
+	return RecoverReport{SalvagedRecords: t.count, DroppedBytes: dropped, TruncatedAt: good}, nil
 }
 
 // Close flushes and closes the backing file.

@@ -244,7 +244,8 @@ func (e *Engine) Apply(recs []storage.Record) {
 // watch monitor evaluates its rules from. A nil fn uninstalls. The call
 // happens on the applying goroutine (the engine's consumer for Enqueue,
 // the caller for Apply/Bootstrap), so a deterministic replay through
-// Apply yields a deterministic evaluation sequence.
+// Apply yields a deterministic evaluation sequence. A batch is
+// acknowledged to Sync only after fn returns, so fn must not call Sync.
 func (e *Engine) SetObserver(fn func(records int64)) {
 	e.observer.Store(observerBox{fn})
 }
@@ -260,7 +261,9 @@ func (e *Engine) Bootstrap(recs []storage.Record) {
 }
 
 // Sync blocks until every batch enqueued so far has been applied, so
-// readers observe them. It returns ErrClosed if the engine closed before
+// readers observe them — including each batch's post-apply effects: the
+// observer (SetObserver) has run for it and any auto-AMI refresh it
+// triggered is published. It returns ErrClosed if the engine closed before
 // applying everything (already-queued batches are still drained on Close,
 // but a batch racing shutdown can be dropped).
 func (e *Engine) Sync() error {
@@ -342,11 +345,6 @@ func (e *Engine) applyBatch(b batch) {
 		e.spans.ExportSpan(sp)
 	}
 
-	e.qmu.Lock()
-	e.applied++
-	e.qcond.Broadcast()
-	e.qmu.Unlock()
-
 	if ob, _ := e.observer.Load().(observerBox); ob.fn != nil {
 		ob.fn(records)
 	}
@@ -354,6 +352,14 @@ func (e *Engine) applyBatch(b batch) {
 	if e.amiEvery > 0 && records-e.loadLastAMI() >= int64(e.amiEvery) {
 		e.RefreshAMI()
 	}
+
+	// Acknowledge last, after every effect of the batch: a Sync waiter
+	// woken here sees the observer's evaluation and any auto-refreshed
+	// AMI snapshot. Neither may call Sync (it would wait on itself).
+	e.qmu.Lock()
+	e.applied++
+	e.qcond.Broadcast()
+	e.qmu.Unlock()
 }
 
 func (e *Engine) loadLastAMI() int64 {
