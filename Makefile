@@ -25,7 +25,9 @@ test-short:
 # internal packages (the telemetry registry/span tree, series store and the
 # watch monitor first — spans/exporter/series ticks/alert evaluation cross
 # goroutines in every binary — then the parallel sweeps and shared caches),
-# the Sync-ordering stress test at GOMAXPROCS 1 and 2, the full suite, a
+# the Sync-ordering stress test and the engine/router concurrent-reader
+# tests (analytics reads must not write shared state) at GOMAXPROCS 1 and
+# 2, the full suite, a
 # short fuzz pass over the ingestion surfaces (10s per target, seeded from
 # the checked-in torn/corrupt corpora; FuzzStoreScan also checks the stats
 # index and Recover's fast path against their slow paths), and a
@@ -36,6 +38,8 @@ check: build vet
 	$(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/...
 	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestSyncAcknowledgesPostApplyEffects$$' -count=50 ./internal/streaming/ || exit 1; done
+	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestEngineConcurrentReaders$$' -count=20 ./internal/streaming/ || exit 1; done
+	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestRouterConcurrentReaders$$' -count=20 ./internal/shard/ || exit 1; done
 	$(GO) test ./...
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/collectserver/

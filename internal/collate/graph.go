@@ -178,7 +178,8 @@ func (g *Graph) HasFingerprint(hash string) bool {
 // Match looks up a set of elementary fingerprints without inserting them
 // and returns which existing cluster they identify. An empty set returns
 // MatchNoEvidence; a non-empty set in which nothing is recognized returns
-// MatchNone.
+// MatchNone. It writes nothing, so concurrent Match calls on one graph
+// are safe.
 func (g *Graph) Match(hashes []string) (cluster int, res MatchResult) {
 	if len(hashes) == 0 {
 		return 0, MatchNoEvidence
@@ -190,7 +191,7 @@ func (g *Graph) Match(hashes []string) (cluster int, res MatchResult) {
 		if !ok {
 			continue
 		}
-		root := g.uf.Find(n)
+		root := g.uf.root(n)
 		if _, dup := found[root]; !dup {
 			found[root] = struct{}{}
 			first = root

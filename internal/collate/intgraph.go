@@ -12,14 +12,19 @@ package collate
 // fingerprints are appended lazily as they are first observed, with
 // fpElem mapping a dense fingerprint ID from the interning universe to
 // its element (or -1 when not yet seen by this graph). size counts the
-// users in a component (fingerprint elements weigh zero), which lets the
-// online path report exact component sizes without a sweep.
+// users in a component (fingerprint elements weigh zero); union keeps the
+// cluster and unique-cluster counts from it, so NumClusters and
+// UniqueClusters are O(1).
 //
 // Two construction styles share the same representation: the batch path
 // (NewIntGraph with the population and universe fixed up front) and the
 // online path (start empty, AddUser/EnsureUniverse as the stream reveals
-// new users and values, Observe per record). Both yield identical
+// new users and values, AddObservation per record). Both yield identical
 // partitions and labels for the same observation multiset.
+//
+// Only the mutating methods (AddUser, EnsureUniverse, AddObservation,
+// Merge into the receiver) write; every read walks parents without path
+// halving, so concurrent readers may share a graph under a read lock.
 type IntGraph struct {
 	numUsers int
 	numFPs   int     // distinct fingerprints observed by this graph
@@ -27,6 +32,8 @@ type IntGraph struct {
 	fpElem   []int32 // fingerprint ID → element, -1 = absent
 	parent   []int32
 	size     []int32 // users per component root (fp elements weigh 0)
+	clusters int     // components with at least one user
+	unique   int     // components with exactly one user
 }
 
 // NewIntGraph returns an empty graph over a fixed population of numUsers
@@ -40,6 +47,8 @@ func NewIntGraph(numUsers, fpUniverse int) *IntGraph {
 		fpElem:   make([]int32, fpUniverse),
 		parent:   make([]int32, numUsers, numUsers+fpUniverse),
 		size:     make([]int32, numUsers, numUsers+fpUniverse),
+		clusters: numUsers,
+		unique:   numUsers,
 	}
 	for i := range g.fpElem {
 		g.fpElem[i] = -1
@@ -66,6 +75,8 @@ func (g *IntGraph) AddUser() int32 {
 	g.size = append(g.size, 1)
 	g.userElem = append(g.userElem, e)
 	g.numUsers++
+	g.clusters++
+	g.unique++
 	return int32(g.numUsers - 1)
 }
 
@@ -77,6 +88,8 @@ func (g *IntGraph) EnsureUniverse(n int) {
 	}
 }
 
+// find is the writer's root lookup: it path-halves, so only callers that
+// already mutate the graph may use it.
 func (g *IntGraph) find(x int32) int32 {
 	for g.parent[x] != x {
 		g.parent[x] = g.parent[g.parent[x]] // path halving
@@ -85,12 +98,21 @@ func (g *IntGraph) find(x int32) int32 {
 	return x
 }
 
-// union merges the components of elements a and b. When it merges two
-// distinct components it reports their pre-merge user counts.
-func (g *IntGraph) union(a, b int32) (aUsers, bUsers int32, merged bool) {
+// root is the reader's root lookup: it writes nothing. Union by size keeps
+// the walk O(log n).
+func (g *IntGraph) root(x int32) int32 {
+	for g.parent[x] != x {
+		x = g.parent[x]
+	}
+	return x
+}
+
+// union merges the components of elements a and b, keeping the cluster
+// counts, and reports whether they were distinct.
+func (g *IntGraph) union(a, b int32) bool {
 	ra, rb := g.find(a), g.find(b)
 	if ra == rb {
-		return 0, 0, false
+		return false
 	}
 	ua, ub := g.size[ra], g.size[rb]
 	if ua < ub {
@@ -98,27 +120,23 @@ func (g *IntGraph) union(a, b int32) (aUsers, bUsers int32, merged bool) {
 	}
 	g.parent[rb] = ra
 	g.size[ra] = ua + ub
-	return ua, ub, true
+	if ua > 0 && ub > 0 { // two user clusters fuse; a fingerprint-only side changes no count
+		g.clusters--
+		if ua == 1 {
+			g.unique--
+		}
+		if ub == 1 {
+			g.unique--
+		}
+	}
+	return true
 }
 
 // AddObservation records that user (a dense ID in [0, NumUsers)) emitted
 // fingerprint fp (a dense ID in [0, fpUniverse)). It reports whether the
-// edge merged two previously distinct components.
+// edge merged two previously distinct union-find components (attaching a
+// first-seen fingerprint counts as a merge).
 func (g *IntGraph) AddObservation(user, fp int32) bool {
-	_, _, merged := g.Observe(user, fp)
-	return merged
-}
-
-// Observe is AddObservation with merge bookkeeping for incremental
-// consumers: when the edge merges two union-find components, aUsers and
-// bUsers are the user counts of the user's and the fingerprint's
-// component immediately before the merge. A freshly created fingerprint
-// element reports merged=true with bUsers == 0 — an attachment to the
-// user's component, not a merge of two user clusters. Two user clusters
-// merged exactly when merged && bUsers > 0; a caller maintaining a
-// cluster-size histogram then applies hist[aUsers]--, hist[bUsers]--,
-// hist[aUsers+bUsers]++.
-func (g *IntGraph) Observe(user, fp int32) (aUsers, bUsers int32, merged bool) {
 	return g.union(g.userElem[user], g.fpNode(fp))
 }
 
@@ -147,6 +165,8 @@ func (g *IntGraph) Clone() *IntGraph {
 		fpElem:   append([]int32(nil), g.fpElem...),
 		parent:   append([]int32(nil), g.parent...),
 		size:     append([]int32(nil), g.size...),
+		clusters: g.clusters,
+		unique:   g.unique,
 	}
 }
 
@@ -171,8 +191,8 @@ func (g *IntGraph) Clone() *IntGraph {
 // built from the union of both observation multisets, which is what makes
 // a sharded replay bit-identical to the single-engine result. Merging an
 // empty graph is a no-op; merging g into itself under identity maps leaves
-// the partition unchanged. Merge may path-compress other's forest (no
-// observable change). O((users+fps)·α) — no per-edge replay.
+// the partition unchanged. Merge only reads other, so other may be shared
+// with concurrent readers. O((users+fps)·log) — no per-edge replay.
 func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 	if len(userMap) < other.numUsers {
 		panic("collate: Merge userMap shorter than other's population")
@@ -199,17 +219,17 @@ func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 		if gElem[e] < 0 {
 			continue
 		}
-		root := other.find(int32(e))
+		root := other.root(int32(e))
 		g.union(gElem[e], gElem[root])
 	}
 }
 
 // ClusterOf returns the canonical element of the user's component. Valid
 // only for the graph's current state.
-func (g *IntGraph) ClusterOf(user int32) int32 { return g.find(g.userElem[user]) }
+func (g *IntGraph) ClusterOf(user int32) int32 { return g.root(g.userElem[user]) }
 
 // ComponentUsers returns the number of users in the user's component.
-func (g *IntGraph) ComponentUsers(user int32) int32 { return g.size[g.find(g.userElem[user])] }
+func (g *IntGraph) ComponentUsers(user int32) int32 { return g.size[g.root(g.userElem[user])] }
 
 // Labels returns each user's cluster label as a dense int32 in
 // [0, NumClusters), canonicalized by first appearance in user order — the
@@ -233,7 +253,7 @@ func (g *IntGraph) LabelsInto(dst, canon []int32) []int32 {
 	}
 	var next int32
 	for u := 0; u < g.numUsers; u++ {
-		root := g.find(g.userElem[u])
+		root := g.root(g.userElem[u])
 		if canon[root] < 0 {
 			canon[root] = next
 			next++
@@ -244,8 +264,8 @@ func (g *IntGraph) LabelsInto(dst, canon []int32) []int32 {
 }
 
 // NumClusters returns the number of components containing at least one
-// user.
-func (g *IntGraph) NumClusters() int { return len(g.ClusterSizes()) }
+// user, in O(1).
+func (g *IntGraph) NumClusters() int { return g.clusters }
 
 // ClusterSizes returns the user count of every cluster in first-appearance
 // order (not sorted).
@@ -256,7 +276,7 @@ func (g *IntGraph) ClusterSizes() []int {
 	}
 	var sizes []int
 	for u := 0; u < g.numUsers; u++ {
-		root := g.find(g.userElem[u])
+		root := g.root(g.userElem[u])
 		if canon[root] < 0 {
 			canon[root] = int32(len(sizes))
 			sizes = append(sizes, 0)
@@ -266,16 +286,9 @@ func (g *IntGraph) ClusterSizes() []int {
 	return sizes
 }
 
-// UniqueClusters returns how many clusters contain exactly one user.
-func (g *IntGraph) UniqueClusters() int {
-	n := 0
-	for _, s := range g.ClusterSizes() {
-		if s == 1 {
-			n++
-		}
-	}
-	return n
-}
+// UniqueClusters returns how many clusters contain exactly one user, in
+// O(1).
+func (g *IntGraph) UniqueClusters() int { return g.unique }
 
 // Match looks up a set of fingerprint IDs without inserting them and
 // reports which existing cluster they identify — the int-keyed equivalent
@@ -297,7 +310,7 @@ func (g *IntGraph) Match(fps []int32) (cluster int32, res MatchResult) {
 		if n < 0 {
 			continue
 		}
-		root := g.find(n)
+		root := g.root(n)
 		dup := false
 		for _, r := range found {
 			if r == root {

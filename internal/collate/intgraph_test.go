@@ -9,7 +9,7 @@ import (
 )
 
 // buildBoth streams the same random observation sequence into a string
-// Graph and an IntGraph, asserting the per-edge merge reports agree.
+// Graph and an IntGraph, asserting each edge's merge flag agrees.
 func buildBoth(t *testing.T, rng *rand.Rand, users, universe, edges int) (*Graph, *IntGraph) {
 	t.Helper()
 	g := NewGraph()
@@ -213,26 +213,50 @@ func TestIntGraphLabelsInto(t *testing.T) {
 	ig.LabelsInto(make([]int32, 1), canon)
 }
 
+// checkClusterCounts asserts g's maintained NumClusters/UniqueClusters
+// against a tally of ClusterSizes.
+func checkClusterCounts(t *testing.T, what string, g *IntGraph) {
+	t.Helper()
+	sizes := g.ClusterSizes()
+	unique := 0
+	for _, s := range sizes {
+		if s == 1 {
+			unique++
+		}
+	}
+	if g.NumClusters() != len(sizes) || g.UniqueClusters() != unique {
+		t.Fatalf("%s: maintained (clusters, unique) = (%d, %d), ClusterSizes tally (%d, %d)",
+			what, g.NumClusters(), g.UniqueClusters(), len(sizes), unique)
+	}
+}
+
 // TestIntGraphOnlineGrowth: a graph grown online (AddUser/EnsureUniverse/
-// Observe, stream order) must equal a batch-constructed graph over the same
-// observations, and Observe's merge reports must keep an incremental
-// cluster-size histogram consistent with ClusterSizes at every step.
+// AddObservation, stream order) must equal a batch-constructed graph over
+// the same observations, and its maintained cluster and unique-cluster
+// counts must match a ClusterSizes tally after every edge — also on a
+// Clone, and after Merge folds the graph into a fresh one (identity maps)
+// and into one already holding a disjoint half of the users.
 func TestIntGraphOnlineGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const users, universe, edges = 120, 60, 2000
 
 	batch := NewIntGraph(users, universe)
 	online := NewIntGraph(0, 0)
-	hist := map[int32]int64{} // component user-count → number of components
 	added := 0
 	addUser := func(u int) {
 		for added <= u {
 			if got := online.AddUser(); got != int32(added) {
 				t.Fatalf("AddUser returned %d, want %d", got, added)
 			}
-			hist[1]++
 			added++
 		}
+	}
+	identity := func(n int) []int32 {
+		m := make([]int32, n)
+		for i := range m {
+			m[i] = int32(i)
+		}
+		return m
 	}
 	for e := 0; e < edges; e++ {
 		u := rng.Intn(users)
@@ -240,33 +264,36 @@ func TestIntGraphOnlineGrowth(t *testing.T) {
 		addUser(u)
 		online.EnsureUniverse(h + 1)
 		want := batch.AddObservation(int32(u), int32(h))
-		a, b, merged := online.Observe(int32(u), int32(h))
-		if merged != want {
+		if merged := online.AddObservation(int32(u), int32(h)); merged != want {
 			t.Fatalf("edge %d (u%d, h%d): online merge=%v, batch merge=%v", e, u, h, merged, want)
 		}
-		if merged && b > 0 {
-			if a < 1 {
-				t.Fatalf("edge %d: merge reported user-side component size %d, want ≥1", e, a)
-			}
-			hist[a]--
-			if hist[a] == 0 {
-				delete(hist, a)
-			}
-			hist[b]--
-			if hist[b] == 0 {
-				delete(hist, b)
-			}
-			hist[a+b]++
+		checkClusterCounts(t, fmt.Sprintf("online after edge %d", e), online)
+		checkClusterCounts(t, fmt.Sprintf("batch after edge %d", e), batch)
+		if e%97 != 0 {
+			continue
 		}
+		checkClusterCounts(t, fmt.Sprintf("clone after edge %d", e), online.Clone())
+		n := online.NumUsers()
+		fresh := NewIntGraph(n, universe)
+		fresh.Merge(online, identity(n), identity(universe))
+		checkClusterCounts(t, fmt.Sprintf("merge into fresh after edge %d", e), fresh)
+		if fresh.NumClusters() != online.NumClusters() {
+			t.Fatalf("edge %d: merge into fresh has %d clusters, want %d", e, fresh.NumClusters(), online.NumClusters())
+		}
+		// Fold the batch graph and the online graph, its users shifted past
+		// the batch population, into one: clusters of the two fuse on
+		// shared fingerprints.
+		joint := NewIntGraph(users+n, universe)
+		joint.Merge(batch, identity(users), identity(universe))
+		shifted := make([]int32, n)
+		for i := range shifted {
+			shifted[i] = int32(users + i)
+		}
+		joint.Merge(online, shifted, identity(universe))
+		checkClusterCounts(t, fmt.Sprintf("joint merge after edge %d", e), joint)
 	}
 	addUser(users - 1) // any stragglers never observed
-	wantHist := map[int32]int64{}
-	for _, s := range online.ClusterSizes() {
-		wantHist[int32(s)]++
-	}
-	if !reflect.DeepEqual(hist, wantHist) {
-		t.Errorf("incremental histogram %v differs from ClusterSizes tally %v", hist, wantHist)
-	}
+	checkClusterCounts(t, "online after stragglers", online)
 
 	// Online labels cover only users seen so far; compare the full set.
 	got, want := online.Labels(), batch.Labels()

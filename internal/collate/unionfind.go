@@ -61,6 +61,16 @@ func (u *UnionFind) Find(x int) int {
 	return x
 }
 
+// root is Find without path halving: it writes nothing, so readers
+// holding only a shared lock may call it concurrently. Union by rank keeps
+// the walk O(log n).
+func (u *UnionFind) root(x int) int {
+	for u.parent[x] != x {
+		x = u.parent[x]
+	}
+	return x
+}
+
 // Union merges the sets of a and b and reports whether a merge happened
 // (false when already joined).
 func (u *UnionFind) Union(a, b int) bool {

@@ -75,16 +75,30 @@ func BenchmarkStreamBatchRecompute(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamSnapshot measures the read path: one full diversity
-// snapshot (including the O(users·vectors) Combined row) from live state.
+// BenchmarkStreamSnapshot measures the read path: one served analytics
+// read from live state per iteration — the entropy table (including the
+// O(users·vectors) Combined row), the cluster and stability tables, the
+// cached AMI snapshot, and the AMI recompute behind it.
 func BenchmarkStreamSnapshot(b *testing.B) {
 	recs := benchRecords(b)
 	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
 	defer eng.Close()
 	eng.Bootstrap(recs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eng.Diversity()
+	for _, bc := range []struct {
+		name string
+		read func()
+	}{
+		{"entropy", func() { _ = eng.Diversity() }},
+		{"clusters", func() { _ = eng.Clusters() }},
+		{"stability", func() { _ = eng.Stability() }},
+		{"ami", func() { _ = eng.AMI() }},
+		{"ami_refresh", func() { _ = eng.RefreshAMI() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.read()
+			}
+		})
 	}
 }

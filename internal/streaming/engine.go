@@ -3,14 +3,16 @@
 // answer "what is the entropy / cluster structure of the population right
 // now" without re-running the batch pipeline.
 //
-// Per audio vector the engine keeps (a) an online union-find collation
-// graph (collate.IntGraph grown via AddUser/EnsureUniverse/Observe), (b)
-// an exact cluster-size histogram updated from Observe's merge reports,
-// from which the Table 2 diversity row is derived at snapshot time, and
-// (c) per-user distinct-fingerprint sets for the Table 1 stability row.
-// Non-audio surfaces (canvas, fonts, Math-JS, platform, User-Agent) keep
-// exact value→count distributions for the Table 3 rows. Pairwise-vector
-// AMI (Figure 5) is the one snapshot-refreshed quantity: it is recomputed
+// The engine's state is a live State (mergeable.go) plus the indexes it
+// needs to apply a record: the user map, per vector the hash intern map
+// and each user's distinct-fingerprint set, and each user's current
+// surface values. Per audio vector the State holds an online union-find
+// collation graph (collate.IntGraph, with O(1) cluster counts) and the
+// per-user distinct-fingerprint counts of Table 1; per non-audio surface
+// (canvas, fonts, Math-JS, platform, User-Agent) an exact value→user-count
+// map for Table 3. Every served row is a State method (snapshot.go), the
+// same code a shard router runs on merged States. Pairwise-vector AMI
+// (Figure 5) is the one snapshot-refreshed quantity: it is recomputed
 // every Config.AMIRefreshEvery applied records rather than per record.
 //
 // All maintained state is *exact*, not approximate: on any record prefix
@@ -29,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/study"
@@ -63,14 +64,10 @@ type Config struct {
 	MetricLabels obs.Labels
 }
 
-// vecState is one audio vector's incremental analysis state.
-type vecState struct {
-	g        *collate.IntGraph
+// applyIndex is one audio vector's apply-side index.
+type applyIndex struct {
 	intern   map[string]int32 // hash → dense fingerprint ID
-	hist     map[int32]int64  // cluster user-count → number of clusters
-	clusters int              // Σ hist values, maintained incrementally
 	distinct [][]int32        // per-user sorted distinct fingerprint IDs
-	obsCount int64            // observations applied (duplicates included)
 }
 
 // Engine is the incremental analysis engine. Create with New; feed it
@@ -87,14 +84,11 @@ type Engine struct {
 	// each applied batch, off the state lock. See SetObserver.
 	observer atomic.Value
 
-	mu      sync.RWMutex // guards all analysis state below
-	users   map[string]int32
-	userIDs []string   // dense ID → user ID, first-record order
-	surfs   [][]string // surface index → per-user current value
-	counts  []map[string]int64
-	vecs    []*vecState // indexed in vectors.All order
-	vecIdx  map[vectors.ID]int
-	records int64 // audio + auxiliary records applied
+	mu    sync.RWMutex // guards st and the apply-side indexes below
+	st    *State       // live analysis state; every served row is read from it
+	users map[string]int32
+	surfs [numSurfaces][]string // surface index → per-user current value
+	vecs  []applyIndex          // indexed in vectors.All order
 
 	amiMu   sync.Mutex
 	ami     *AMISnapshot
@@ -121,9 +115,9 @@ type batch struct {
 	tc   obs.TraceContext
 }
 
-// Surface distribution order inside Engine.surfs / Engine.counts. The
-// User-Agent follows FromRecords' first-non-empty-wins rule; the others
-// follow its last-record-wins rule.
+// Surface order inside Engine.surfs and State.Surfaces. The User-Agent
+// follows FromRecords' first-non-empty-wins rule; the others follow its
+// last-record-wins rule.
 const (
 	surfCanvas = iota
 	surfFonts
@@ -142,8 +136,9 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		queueDepth: cfg.QueueDepth,
 		amiEvery:   cfg.AMIRefreshEvery,
+		st:         NewState(),
 		users:      map[string]int32{},
-		vecIdx:     make(map[vectors.ID]int, len(vectors.All)),
+		vecs:       make([]applyIndex, len(vectors.All)),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -157,19 +152,8 @@ func New(cfg Config) *Engine {
 	e.metLabels = cfg.MetricLabels
 	e.queue = make(chan batch, e.queueDepth)
 	e.qcond = sync.NewCond(&e.qmu)
-	e.surfs = make([][]string, numSurfaces)
-	e.counts = make([]map[string]int64, numSurfaces)
-	for i := range e.counts {
-		e.counts[i] = map[string]int64{}
-	}
-	e.vecs = make([]*vecState, len(vectors.All))
-	for i, v := range vectors.All {
-		e.vecIdx[v] = i
-		e.vecs[i] = &vecState{
-			g:      collate.NewIntGraph(0, 0),
-			intern: map[string]int32{},
-			hist:   map[int32]int64{},
-		}
+	for i := range e.vecs {
+		e.vecs[i].intern = map[string]int32{}
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -332,7 +316,7 @@ func (e *Engine) applyBatch(b batch) {
 	for i := range b.recs {
 		e.applyLocked(&b.recs[i])
 	}
-	records := e.records
+	records := e.st.Records
 	e.mu.Unlock()
 
 	e.met.applySeconds.Observe(time.Since(start).Seconds())
@@ -372,31 +356,33 @@ func (e *Engine) loadLastAMI() int64 {
 // semantics of study.FromRecordsOpts(KeepAllObservations): users register
 // in first-record order (even for records whose vector does not parse),
 // User-Agent is first-non-empty-wins, surfaces are last-record-wins, and
-// unparseable vectors contribute nothing beyond user/surface bookkeeping.
-// O(α(n)) amortized per record plus the distinct-set insertion (bounded by
-// a user's distinct fingerprints for one vector — single digits in
-// practice, Table 1).
+// records of a vector outside vectors.All contribute nothing beyond
+// user/surface bookkeeping. O(α(n)) amortized per record plus the
+// distinct-set insertion (bounded by a user's distinct fingerprints for
+// one vector — single digits in practice, Table 1).
 func (e *Engine) applyLocked(r *storage.Record) {
+	st := e.st
 	uid, ok := e.users[r.UserID]
 	if !ok {
-		uid = int32(len(e.userIDs))
+		uid = int32(len(st.Users))
 		e.users[r.UserID] = uid
-		e.userIDs = append(e.userIDs, r.UserID)
-		for s := 0; s < numSurfaces; s++ {
+		st.Users = append(st.Users, r.UserID)
+		st.Seq = append(st.Seq, int64(uid))
+		for s := range e.surfs {
 			e.surfs[s] = append(e.surfs[s], "")
-			e.counts[s][""]++
+			st.Surfaces[s][""]++
 		}
-		for _, vs := range e.vecs {
-			vs.g.AddUser()
-			vs.hist[1]++
-			vs.clusters++
-			vs.distinct = append(vs.distinct, nil)
+		for i := range e.vecs {
+			e.vecs[i].distinct = append(e.vecs[i].distinct, nil)
+			vs := &st.Vecs[i]
+			vs.Graph.AddUser()
+			vs.Distinct = append(vs.Distinct, 0)
 		}
 	}
 	if e.surfs[surfUA][uid] == "" && r.UserAgent != "" {
 		e.setSurface(surfUA, uid, r.UserAgent)
 	}
-	for s := 0; s < numSurfaces; s++ {
+	for s := range e.surfs {
 		if surfaceKeys[s] == "" {
 			continue
 		}
@@ -404,42 +390,40 @@ func (e *Engine) applyLocked(r *storage.Record) {
 			e.setSurface(s, uid, v)
 		}
 	}
-	e.records++
+	st.Records++
 
 	v, err := vectors.ParseID(r.Vector)
 	if err != nil {
 		return // auxiliary rows ride in Surfaces, as in FromRecords
 	}
-	vs := e.vecs[e.vecIdx[v]]
-	fp, ok := vs.intern[r.Hash]
+	i := vecIndex(v)
+	if i < 0 {
+		return // an extended vector: not part of the paper's tables
+	}
+	ix, vs := &e.vecs[i], &st.Vecs[i]
+	fp, ok := ix.intern[r.Hash]
 	if !ok {
-		fp = int32(len(vs.intern))
-		vs.intern[r.Hash] = fp
-		vs.g.EnsureUniverse(int(fp) + 1)
+		fp = int32(len(vs.Hashes))
+		ix.intern[r.Hash] = fp
+		vs.Hashes = append(vs.Hashes, r.Hash)
+		vs.Graph.EnsureUniverse(int(fp) + 1)
 	}
-	if a, b, merged := vs.g.Observe(uid, fp); merged && b > 0 {
-		vs.hist[a]--
-		if vs.hist[a] == 0 {
-			delete(vs.hist, a)
-		}
-		vs.hist[b]--
-		if vs.hist[b] == 0 {
-			delete(vs.hist, b)
-		}
-		vs.hist[a+b]++
-		vs.clusters--
-	}
-	insertSorted(&vs.distinct[uid], fp)
-	vs.obsCount++
+	vs.Graph.AddObservation(uid, fp)
+	insertSorted(&ix.distinct[uid], fp)
+	vs.Distinct[uid] = len(ix.distinct[uid])
+	vs.Obs++
 }
 
+// setSurface moves user uid's count on surface s from its current value
+// to v.
 func (e *Engine) setSurface(s int, uid int32, v string) {
+	counts := e.st.Surfaces[s]
 	old := e.surfs[s][uid]
-	e.counts[s][old]--
-	if e.counts[s][old] == 0 {
-		delete(e.counts[s], old)
+	counts[old]--
+	if counts[old] == 0 {
+		delete(counts, old)
 	}
-	e.counts[s][v]++
+	counts[v]++
 	e.surfs[s][uid] = v
 }
 

@@ -343,6 +343,25 @@ func TestStreamingSurfaceRules(t *testing.T) {
 	}
 }
 
+// TestStreamingIgnoresExtendedVectors: records of an extension vector
+// (parseable, but outside vectors.All) register their user and surfaces
+// and touch no vector's graph, as in the batch loader. Their hashes
+// collide with DC hashes so a misfiled record would merge DC clusters.
+func TestStreamingIgnoresExtendedVectors(t *testing.T) {
+	recs := []storage.Record{
+		{UserID: "u1", Vector: "DC", Hash: "a"},
+		{UserID: "u2", Vector: "DC", Hash: "b"},
+		{UserID: "u3", Vector: vectors.Extended[0].String(), Hash: "a", UserAgent: "UA-3"},
+	}
+	for _, v := range vectors.Extended {
+		recs = append(recs, storage.Record{UserID: "u1", Vector: v.String(), Hash: "b"})
+	}
+	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
+	defer eng.Close()
+	eng.Apply(recs)
+	comparePrefix(t, eng, recs)
+}
+
 // TestStreamingSyncAfterClose: Sync on a closed engine with everything
 // drained returns nil; lost batches surface ErrClosed.
 func TestStreamingSyncAfterClose(t *testing.T) {

@@ -2,29 +2,31 @@ package streaming
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/collate"
-	"repro/internal/diversity"
 	"repro/internal/vectors"
 )
 
-// State is a frozen, self-contained copy of an engine's analysis state that
-// can be combined with the states of other engines — the merge algebra the
-// sharded ingest plane is built on (DESIGN.md §14). Each shard's engine
-// owns a disjoint slice of the user population; State captures that slice
-// together with the per-user global arrival sequence, and Merge folds two
-// slices into one whose analytics payloads are bit-identical to an engine
-// that ingested the union directly.
+// State is the analysis state every served row is computed from (the
+// methods in snapshot.go). An Engine keeps a live State and applies records
+// to it; Engine.State hands out a deep copy, which can be combined with the
+// states of other engines — the merge algebra the sharded ingest plane is
+// built on (DESIGN.md §14). Each shard's engine owns a disjoint slice of
+// the user population; State captures that slice together with the
+// per-user global arrival sequence, and Merge folds two slices into one
+// whose analytics payloads are bit-identical to an engine that ingested
+// the union directly.
 //
 // Merge is associative and commutative, with NewState() as the identity —
 // the property that lets a router fold shard snapshots in any order (or a
 // tree) and serve one answer. The proof obligation is discharged by the
 // payload shapes: every served quantity depends only on (a) the user
 // partition of each vector's collation graph, (b) the global user order
-// reconstructed from Seq, and (c) per-user values/counts — none on the
-// shard-local dense ID assignment that differs between merge orders.
+// reconstructed from Seq, and (c) per-user counts and per-value user
+// counts — none on the shard-local dense ID assignment that differs
+// between merge orders.
 type State struct {
 	// Users holds the user IDs in this state's dense order; Seq holds each
 	// user's global first-seen sequence number. Within one engine the dense
@@ -36,10 +38,11 @@ type State struct {
 	Seq   []int64
 	// Records counts applied records (audio + auxiliary).
 	Records int64
-	// Surfs holds per-surface, per-user current values in surface index
-	// order (surfCanvas..surfUA) — value counts are rebuilt at snapshot
-	// time, so they merge by concatenation.
-	Surfs [][]string
+	// Surfaces holds, per surface in index order (surfCanvas..surfUA), how
+	// many users currently hold each value ("" counts the users with none).
+	// Users are disjoint across states and each holds one current value,
+	// so counts merge by addition.
+	Surfaces []map[string]int64
 	// Vecs holds one VecState per vectors.All entry.
 	Vecs []VecState
 }
@@ -52,56 +55,51 @@ type VecState struct {
 	Hashes []string
 	// Graph is the collation graph over this state's users and Hashes.
 	Graph *collate.IntGraph
-	// Distinct holds each user's distinct-fingerprint count (users are
-	// shard-disjoint, so counts merge by scatter).
+	// Distinct holds each user's distinct-fingerprint count in dense user
+	// order (users are shard-disjoint, so counts merge by scatter).
 	Distinct []int
 	// Obs counts observations applied, duplicates included.
 	Obs int64
 }
 
-// State returns a deep snapshot of the engine's analysis state, stamped
-// with local sequence numbers 0..n-1 (dense order == arrival order within
-// one engine). The copy shares nothing with the live engine.
+// State returns a deep copy of the engine's live analysis state. Within
+// one engine the dense order is arrival order, so Seq is 0..n-1. The copy
+// shares nothing with the live engine.
 func (e *Engine) State() *State {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s := &State{
-		Users:   append([]string(nil), e.userIDs...),
-		Seq:     make([]int64, len(e.userIDs)),
-		Records: e.records,
-		Surfs:   make([][]string, numSurfaces),
-		Vecs:    make([]VecState, len(e.vecs)),
+	return read(e, (*State).Clone)
+}
+
+// Clone returns a deep copy of s sharing nothing with it.
+func (s *State) Clone() *State {
+	c := &State{
+		Users:    append([]string(nil), s.Users...),
+		Seq:      append([]int64(nil), s.Seq...),
+		Records:  s.Records,
+		Surfaces: make([]map[string]int64, len(s.Surfaces)),
+		Vecs:     make([]VecState, len(s.Vecs)),
 	}
-	for i := range s.Seq {
-		s.Seq[i] = int64(i)
+	for i, m := range s.Surfaces {
+		c.Surfaces[i] = maps.Clone(m)
 	}
-	for i := 0; i < numSurfaces; i++ {
-		s.Surfs[i] = append([]string(nil), e.surfs[i]...)
-	}
-	for i, vs := range e.vecs {
-		hashes := make([]string, len(vs.intern))
-		for h, id := range vs.intern {
-			hashes[id] = h
-		}
-		distinct := make([]int, len(vs.distinct))
-		for u, d := range vs.distinct {
-			distinct[u] = len(d)
-		}
-		s.Vecs[i] = VecState{
-			Hashes:   hashes,
-			Graph:    vs.g.Clone(),
-			Distinct: distinct,
-			Obs:      vs.obsCount,
+	for i, vs := range s.Vecs {
+		c.Vecs[i] = VecState{
+			Hashes:   append([]string(nil), vs.Hashes...),
+			Graph:    vs.Graph.Clone(),
+			Distinct: append([]int(nil), vs.Distinct...),
+			Obs:      vs.Obs,
 		}
 	}
-	return s
+	return c
 }
 
 // NewState returns the merge identity: an empty state over zero users.
 func NewState() *State {
 	s := &State{
-		Surfs: make([][]string, numSurfaces),
-		Vecs:  make([]VecState, len(vectors.All)),
+		Surfaces: make([]map[string]int64, numSurfaces),
+		Vecs:     make([]VecState, len(vectors.All)),
+	}
+	for i := range s.Surfaces {
+		s.Surfaces[i] = map[string]int64{}
 	}
 	for i := range s.Vecs {
 		s.Vecs[i] = VecState{Graph: collate.NewIntGraph(0, 0)}
@@ -110,20 +108,19 @@ func NewState() *State {
 }
 
 // Merge combines two states over disjoint user sets into a new state; both
-// inputs are left logically unchanged (the union pass may path-compress
-// their graphs, which is unobservable). The merged dense user order is by
-// ascending Seq (user ID as a tie-break, which never fires when Seq comes
-// from one global ledger), so a router stamping global sequences gets back
-// the single-engine arrival order. Sharing a user between the two states
+// inputs are left unchanged. The merged dense user order is by ascending
+// Seq (user ID as a tie-break, which never fires when Seq comes from one
+// global ledger), so a router stamping global sequences gets back the
+// single-engine arrival order. Sharing a user between the two states
 // is a routing bug and returns an error.
 func (s *State) Merge(o *State) (*State, error) {
 	na, nb := len(s.Users), len(o.Users)
 	m := &State{
-		Users:   make([]string, 0, na+nb),
-		Seq:     make([]int64, 0, na+nb),
-		Records: s.Records + o.Records,
-		Surfs:   make([][]string, numSurfaces),
-		Vecs:    make([]VecState, len(s.Vecs)),
+		Users:    make([]string, 0, na+nb),
+		Seq:      make([]int64, 0, na+nb),
+		Records:  s.Records + o.Records,
+		Surfaces: make([]map[string]int64, numSurfaces),
+		Vecs:     make([]VecState, len(s.Vecs)),
 	}
 	// Two-pointer merge by (Seq, Users) producing each input's user→merged
 	// translation.
@@ -157,14 +154,12 @@ func (s *State) Merge(o *State) (*State, error) {
 	if overlap := findOverlap(m.Users); overlap != "" {
 		return nil, fmt.Errorf("streaming: Merge states share user %q", overlap)
 	}
-	for si := 0; si < numSurfaces; si++ {
-		m.Surfs[si] = make([]string, len(m.Users))
-		for u, v := range s.Surfs[si] {
-			m.Surfs[si][mapA[u]] = v
+	for si := range m.Surfaces {
+		sum := maps.Clone(s.Surfaces[si])
+		for v, n := range o.Surfaces[si] {
+			sum[v] += n
 		}
-		for u, v := range o.Surfs[si] {
-			m.Surfs[si][mapB[u]] = v
-		}
+		m.Surfaces[si] = sum
 	}
 	for vi := range s.Vecs {
 		a, b := &s.Vecs[vi], &o.Vecs[vi]
@@ -226,154 +221,4 @@ func findOverlap(users []string) string {
 		}
 	}
 	return ""
-}
-
-// Diversity returns the entropy table of the merged population — the same
-// rows, bit for bit, as Engine.Diversity over the union of the merged
-// record streams. Audio rows reduce ClusterSizes through
-// diversity.SummaryFromCounts (which sorts, so histogram-vs-sweep and
-// merge-order differences vanish); the Combined row re-labels the graphs
-// over the Seq-reconstructed user order.
-func (s *State) Diversity() EntropySnapshot {
-	snap := EntropySnapshot{Records: s.Records, Users: len(s.Users)}
-	for i, v := range vectors.All {
-		snap.Rows = append(snap.Rows, summaryRow(v.String(),
-			diversity.SummaryFromCounts(s.Vecs[i].Graph.ClusterSizes())))
-	}
-	if combined := s.combinedLabels(); combined != nil {
-		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.SummarizeStable(combined)))
-	}
-	for si := 0; si < numSurfaces; si++ {
-		counts := make(map[string]int64, len(s.Surfs[si]))
-		for _, v := range s.Surfs[si] {
-			counts[v]++
-		}
-		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[si],
-			diversity.SummaryFromCounts(surfaceCounts(counts))))
-	}
-	return snap
-}
-
-// Clusters returns the per-vector collation statistics of the merged
-// population, matching Engine.Clusters bit for bit.
-func (s *State) Clusters() ClusterSnapshot {
-	snap := ClusterSnapshot{Records: s.Records, Users: len(s.Users)}
-	for i, v := range vectors.All {
-		vs := &s.Vecs[i]
-		snap.Rows = append(snap.Rows, ClusterRow{
-			Vector:       v.String(),
-			Users:        vs.Graph.NumUsers(),
-			Clusters:     vs.Graph.NumClusters(),
-			Unique:       vs.Graph.UniqueClusters(),
-			Fingerprints: vs.Graph.NumFingerprints(),
-			Observations: vs.Obs,
-		})
-	}
-	return snap
-}
-
-// Stability returns the Table 1 rows of the merged population.
-func (s *State) Stability() StabilitySnapshot {
-	snap := StabilitySnapshot{Records: s.Records, Users: len(s.Users)}
-	for i, v := range vectors.All {
-		vs := &s.Vecs[i]
-		row := StabilityRow{Vector: v.String()}
-		if len(vs.Distinct) > 0 {
-			row.Min = vs.Distinct[0]
-			sum := 0
-			for _, c := range vs.Distinct {
-				if c < row.Min {
-					row.Min = c
-				}
-				if c > row.Max {
-					row.Max = c
-				}
-				sum += c
-			}
-			row.Mean = float64(sum) / float64(len(vs.Distinct))
-		}
-		snap.Rows = append(snap.Rows, row)
-	}
-	return snap
-}
-
-// AMI computes the pairwise-vector AMI matrix of the merged population —
-// the merged counterpart of Engine.RefreshAMI, matching
-// Dataset.PairwiseVectorAMI bit for bit over the Seq-reconstructed user
-// order.
-func (s *State) AMI() *AMISnapshot {
-	k := len(vectors.All)
-	snap := &AMISnapshot{Records: s.Records, Vectors: make([]string, k)}
-	for i, v := range vectors.All {
-		snap.Vectors[i] = v.String()
-	}
-	if len(s.Users) == 0 {
-		return snap
-	}
-	labels := make([][]int32, k)
-	ks := make([]int, k)
-	for i := range s.Vecs {
-		labels[i] = s.Vecs[i].Graph.Labels()
-		ks[i] = s.Vecs[i].Graph.NumClusters()
-	}
-	snap.Matrix = make([][]float64, k)
-	for i := range snap.Matrix {
-		snap.Matrix[i] = make([]float64, k)
-		snap.Matrix[i][i] = 1
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			v, err := cluster.AMIDense(labels[i], labels[j], ks[i], ks[j])
-			if err != nil {
-				continue // unreachable for a non-empty population
-			}
-			snap.Matrix[i][j] = v
-			snap.Matrix[j][i] = v
-		}
-	}
-	return snap
-}
-
-// Labels returns v's first-appearance-canonical cluster labels over the
-// merged user order — the State counterpart of Engine.Labels.
-func (s *State) Labels(v vectors.ID) []int {
-	for i, vv := range vectors.All {
-		if vv == v {
-			labels := s.Vecs[i].Graph.Labels()
-			out := make([]int, len(labels))
-			for j, l := range labels {
-				out[j] = int(l)
-			}
-			return out
-		}
-	}
-	return nil
-}
-
-// DistinctPerUser returns each user's distinct-fingerprint count for v in
-// merged dense order.
-func (s *State) DistinctPerUser(v vectors.ID) []int {
-	for i, vv := range vectors.All {
-		if vv == v {
-			return append([]int(nil), s.Vecs[i].Distinct...)
-		}
-	}
-	return nil
-}
-
-// combinedLabels builds the combination tuple per user — nil when the
-// population is empty.
-func (s *State) combinedLabels() []string {
-	if len(s.Users) == 0 {
-		return nil
-	}
-	parts := make([][]int32, len(vectors.All))
-	for i := range s.Vecs {
-		parts[i] = s.Vecs[i].Graph.Labels()
-	}
-	combined, err := diversity.Combine(parts...)
-	if err != nil {
-		panic(err) // impossible: all parts share the population length
-	}
-	return combined
 }

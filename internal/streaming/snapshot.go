@@ -8,6 +8,10 @@ import (
 	"repro/internal/vectors"
 )
 
+// This file holds the one implementation of every served analytics row:
+// the State methods below. An Engine answers from its live State under its
+// read lock, a shard router from the merge of its engines' States.
+//
 // Snapshot types carry their own JSON tags: they are the payloads of the
 // GET /api/v1/analytics/* routes.
 
@@ -94,19 +98,6 @@ func summaryRow(name string, s diversity.Summary) DiversityRow {
 	}
 }
 
-// clusterCounts expands a vector's cluster-size histogram into the
-// group-size multiset diversity.SummaryFromCounts consumes. Caller holds
-// at least a read lock.
-func (vs *vecState) clusterCounts() []int {
-	cs := make([]int, 0, vs.clusters)
-	for size, n := range vs.hist {
-		for i := int64(0); i < n; i++ {
-			cs = append(cs, int(size))
-		}
-	}
-	return cs
-}
-
 // surfaceCounts converts a surface's value→count map into a group-size
 // multiset.
 func surfaceCounts(m map[string]int64) []int {
@@ -117,125 +108,180 @@ func surfaceCounts(m map[string]int64) []int {
 	return cs
 }
 
-// Diversity returns the live entropy table. Audio rows are derived from
-// the exact cluster-size histograms; the Combined row re-labels the seven
-// graphs (O(users·vectors)); surface rows from the exact value counts.
-// Every float goes through diversity.SummaryFromCounts, which is what
-// makes the rows bit-identical to the batch analyses.
-func (e *Engine) Diversity() EntropySnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := EntropySnapshot{Records: e.records, Users: len(e.userIDs)}
-	for i, v := range vectors.All {
-		snap.Rows = append(snap.Rows, summaryRow(v.String(),
-			diversity.SummaryFromCounts(e.vecs[i].clusterCounts())))
+// vecIndex returns v's position in vectors.All, or -1.
+func vecIndex(v vectors.ID) int {
+	for i, vv := range vectors.All {
+		if vv == v {
+			return i
+		}
 	}
-	if combined := e.combinedLabelsLocked(); combined != nil {
+	return -1
+}
+
+// labels returns every vector's first-appearance-canonical cluster labels
+// over the state's dense user order.
+func (s *State) labels() [][]int32 {
+	labels := make([][]int32, len(s.Vecs))
+	for i := range s.Vecs {
+		labels[i] = s.Vecs[i].Graph.Labels()
+	}
+	return labels
+}
+
+// Diversity returns the entropy table. Each audio row reduces the vector's
+// cluster-size multiset, tallied from the labels the Combined row needs
+// anyway (O(users·vectors)); surface rows reduce the value counts. Every
+// float goes through diversity.SummaryFromCounts, which sorts its input —
+// so the rows are bit-identical to the batch analyses and cannot depend on
+// merge order.
+func (s *State) Diversity() EntropySnapshot {
+	snap := EntropySnapshot{Records: s.Records, Users: len(s.Users)}
+	labels := s.labels()
+	for i, v := range vectors.All {
+		sizes := make([]int, s.Vecs[i].Graph.NumClusters())
+		for _, l := range labels[i] {
+			sizes[l]++
+		}
+		snap.Rows = append(snap.Rows, summaryRow(v.String(), diversity.SummaryFromCounts(sizes)))
+	}
+	if len(s.Users) > 0 {
+		combined, err := diversity.Combine(labels...)
+		if err != nil {
+			panic(err) // impossible: all parts share the population length
+		}
 		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.SummarizeStable(combined)))
 	}
-	for s := 0; s < numSurfaces; s++ {
-		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[s],
-			diversity.SummaryFromCounts(surfaceCounts(e.counts[s]))))
+	for si, counts := range s.Surfaces {
+		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[si],
+			diversity.SummaryFromCounts(surfaceCounts(counts))))
 	}
 	return snap
 }
 
-// Clusters returns the live per-vector collation statistics.
-func (e *Engine) Clusters() ClusterSnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := ClusterSnapshot{Records: e.records, Users: len(e.userIDs)}
+// Clusters returns the per-vector collation statistics, O(vectors).
+func (s *State) Clusters() ClusterSnapshot {
+	snap := ClusterSnapshot{Records: s.Records, Users: len(s.Users)}
 	for i, v := range vectors.All {
-		vs := e.vecs[i]
+		vs := &s.Vecs[i]
 		snap.Rows = append(snap.Rows, ClusterRow{
 			Vector:       v.String(),
-			Users:        vs.g.NumUsers(),
-			Clusters:     vs.clusters,
-			Unique:       int(vs.hist[1]),
-			Fingerprints: vs.g.NumFingerprints(),
-			Observations: vs.obsCount,
+			Users:        vs.Graph.NumUsers(),
+			Clusters:     vs.Graph.NumClusters(),
+			Unique:       vs.Graph.UniqueClusters(),
+			Fingerprints: vs.Graph.NumFingerprints(),
+			Observations: vs.Obs,
 		})
 	}
 	return snap
 }
 
-// Stability returns the live Table 1 rows.
-func (e *Engine) Stability() StabilitySnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := StabilitySnapshot{Records: e.records, Users: len(e.userIDs)}
+// Stability returns the Table 1 rows: distinct elementary fingerprints per
+// user.
+func (s *State) Stability() StabilitySnapshot {
+	snap := StabilitySnapshot{Records: s.Records, Users: len(s.Users)}
 	for i, v := range vectors.All {
-		vs := e.vecs[i]
 		row := StabilityRow{Vector: v.String()}
-		if len(vs.distinct) > 0 {
-			row.Min = len(vs.distinct[0])
-			sum := 0
-			for _, d := range vs.distinct {
-				c := len(d)
-				if c < row.Min {
-					row.Min = c
-				}
-				if c > row.Max {
-					row.Max = c
-				}
-				sum += c
+		if d := s.Vecs[i].Distinct; len(d) > 0 {
+			lo, hi, sum := d[0], d[0], 0
+			for _, c := range d {
+				lo, hi, sum = min(lo, c), max(hi, c), sum+c
 			}
-			row.Mean = float64(sum) / float64(len(vs.distinct))
+			row.Min, row.Max, row.Mean = lo, hi, float64(sum)/float64(len(d))
 		}
 		snap.Rows = append(snap.Rows, row)
 	}
 	return snap
 }
 
-// DistinctPerUser returns how many distinct elementary fingerprints each
-// user has emitted for v, in dense user order — the live counterpart of
-// Dataset.DistinctPerUser.
-func (e *Engine) DistinctPerUser(v vectors.ID) []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	vs := e.vecs[e.vecIdx[v]]
-	out := make([]int, len(vs.distinct))
-	for i, d := range vs.distinct {
-		out[i] = len(d)
+// AMI computes the pairwise-vector AMI matrix, matching
+// Dataset.PairwiseVectorAMI bit for bit: diagonal 1, AMIDense over
+// first-appearance-canonical labels in the state's dense user order.
+func (s *State) AMI() *AMISnapshot {
+	k := len(vectors.All)
+	snap := &AMISnapshot{Records: s.Records, Vectors: make([]string, k)}
+	for i, v := range vectors.All {
+		snap.Vectors[i] = v.String()
+	}
+	if len(s.Users) == 0 {
+		return snap
+	}
+	labels := s.labels()
+	snap.Matrix = make([][]float64, k)
+	for i := range snap.Matrix {
+		snap.Matrix[i] = make([]float64, k)
+		snap.Matrix[i][i] = 1
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			v, err := cluster.AMIDense(labels[i], labels[j],
+				s.Vecs[i].Graph.NumClusters(), s.Vecs[j].Graph.NumClusters())
+			if err != nil {
+				continue // unreachable for a non-empty population
+			}
+			snap.Matrix[i][j] = v
+			snap.Matrix[j][i] = v
+		}
+	}
+	return snap
+}
+
+// Labels returns v's first-appearance-canonical cluster labels in dense
+// user order — the counterpart of Dataset.Labels.
+func (s *State) Labels(v vectors.ID) []int {
+	i := vecIndex(v)
+	if i < 0 {
+		return nil
+	}
+	labels := s.Vecs[i].Graph.Labels()
+	out := make([]int, len(labels))
+	for j, l := range labels {
+		out[j] = int(l)
 	}
 	return out
 }
 
-// Labels returns the live first-appearance-canonical cluster labels of v,
-// the counterpart of Dataset.Labels.
-func (e *Engine) Labels(v vectors.ID) []int {
+// DistinctPerUser returns how many distinct elementary fingerprints each
+// user has emitted for v, in dense user order — the counterpart of
+// Dataset.DistinctPerUser.
+func (s *State) DistinctPerUser(v vectors.ID) []int {
+	i := vecIndex(v)
+	if i < 0 {
+		return nil
+	}
+	return append([]int(nil), s.Vecs[i].Distinct...)
+}
+
+// read runs one State method on the engine's live state under its read
+// lock — the whole of every Engine read method.
+func read[T any](e *Engine, f func(*State) T) T {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	labels := e.vecs[e.vecIdx[v]].g.Labels()
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		out[i] = int(l)
-	}
-	return out
+	return f(e.st)
+}
+
+// Diversity returns the live entropy table (State.Diversity).
+func (e *Engine) Diversity() EntropySnapshot { return read(e, (*State).Diversity) }
+
+// Clusters returns the live per-vector collation statistics.
+func (e *Engine) Clusters() ClusterSnapshot { return read(e, (*State).Clusters) }
+
+// Stability returns the live Table 1 rows.
+func (e *Engine) Stability() StabilitySnapshot { return read(e, (*State).Stability) }
+
+// DistinctPerUser returns the live distinct-fingerprint count per user
+// for v (State.DistinctPerUser).
+func (e *Engine) DistinctPerUser(v vectors.ID) []int {
+	return read(e, func(s *State) []int { return s.DistinctPerUser(v) })
+}
+
+// Labels returns the live cluster labels of v (State.Labels).
+func (e *Engine) Labels(v vectors.ID) []int {
+	return read(e, func(s *State) []int { return s.Labels(v) })
 }
 
 // Users returns the user IDs in dense (first-record) order.
 func (e *Engine) Users() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append([]string(nil), e.userIDs...)
-}
-
-// combinedLabelsLocked builds the combination tuple per user — nil when
-// the population is empty.
-func (e *Engine) combinedLabelsLocked() []string {
-	if len(e.userIDs) == 0 {
-		return nil
-	}
-	parts := make([][]int32, len(vectors.All))
-	for i := range e.vecs {
-		parts[i] = e.vecs[i].g.Labels()
-	}
-	combined, err := diversity.Combine(parts...)
-	if err != nil {
-		panic(err) // impossible: all parts share the population length
-	}
-	return combined
+	return read(e, func(s *State) []string { return append([]string(nil), s.Users...) })
 }
 
 // AMI returns the most recent pairwise-AMI snapshot, or nil when none has
@@ -246,50 +292,14 @@ func (e *Engine) AMI() *AMISnapshot {
 	return e.ami
 }
 
-// RefreshAMI recomputes the pairwise-vector AMI matrix from the current
-// graphs and installs it as the served snapshot. The computation matches
-// Dataset.PairwiseVectorAMI: diagonal 1, AMIDense over
-// first-appearance-canonical labels.
+// RefreshAMI recomputes the pairwise-vector AMI matrix from the live
+// state (State.AMI) and installs it as the served snapshot.
 func (e *Engine) RefreshAMI() *AMISnapshot {
 	start := time.Now()
-	e.mu.RLock()
-	records := e.records
-	users := len(e.userIDs)
-	k := len(vectors.All)
-	labels := make([][]int32, k)
-	ks := make([]int, k)
-	for i := range e.vecs {
-		labels[i] = e.vecs[i].g.Labels()
-		ks[i] = e.vecs[i].clusters
-	}
-	e.mu.RUnlock()
-
-	snap := &AMISnapshot{Records: records, Vectors: make([]string, k)}
-	for i, v := range vectors.All {
-		snap.Vectors[i] = v.String()
-	}
-	if users > 0 {
-		snap.Matrix = make([][]float64, k)
-		for i := range snap.Matrix {
-			snap.Matrix[i] = make([]float64, k)
-			snap.Matrix[i][i] = 1
-		}
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				v, err := cluster.AMIDense(labels[i], labels[j], ks[i], ks[j])
-				if err != nil {
-					// Unreachable for a non-empty population; serve zeros
-					// rather than failing the refresh.
-					continue
-				}
-				snap.Matrix[i][j] = v
-				snap.Matrix[j][i] = v
-			}
-		}
-	}
+	snap := read(e, (*State).AMI)
 	e.amiMu.Lock()
 	e.ami = snap
-	e.lastAMI = records
+	e.lastAMI = snap.Records
 	e.amiMu.Unlock()
 	e.met.amiRefreshes.Inc()
 	e.met.amiSeconds.Observe(time.Since(start).Seconds())
@@ -299,8 +309,8 @@ func (e *Engine) RefreshAMI() *AMISnapshot {
 // Status reports the engine's ingestion position and queue occupancy.
 func (e *Engine) Status() StatusSnapshot {
 	e.mu.RLock()
-	records := e.records
-	users := len(e.userIDs)
+	records := e.st.Records
+	users := len(e.st.Users)
 	e.mu.RUnlock()
 	e.amiMu.Lock()
 	amiRecords := e.lastAMI

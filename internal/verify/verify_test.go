@@ -2,7 +2,9 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -184,4 +186,34 @@ func TestCalibrate(t *testing.T) {
 	if cal := Calibrate(trials, 100); cal.EER != 0.5 {
 		t.Errorf("overlapping EER = %v, want 0.5", cal.EER)
 	}
+}
+
+// TestVerifyConcurrentScore: concurrent decisions for one user read the
+// user's history under a shared lock, so Match must not write to it.
+// Under -race a path-compressing lookup shows up as a data race. The
+// readers call Score, the shared-lock half of Verify: Verify's counter
+// update takes the exclusive lock, which on one P orders the readers and
+// hides the race.
+func TestVerifyConcurrentScore(t *testing.T) {
+	e := New(Config{})
+	var recs []storage.Record
+	for i := 0; i < 12; i++ {
+		recs = append(recs, storage.Record{UserID: "u1", Vector: "DC", Hash: fmt.Sprintf("dc%02d", i)})
+	}
+	e.Enroll(recs)
+	samples := []Sample{{Vector: vectors.DC, Hash: "dc00"}, {Vector: vectors.DC, Hash: "dc07"}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if score, _, known := e.Score("u1", samples); !known || score != 1 {
+					t.Errorf("Score(u1) = %v, known=%v; want 1, true", score, known)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
