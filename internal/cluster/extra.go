@@ -44,11 +44,11 @@ func FowlkesMallows(x, y []int) (float64, error) {
 	}
 	choose2 := func(k int) float64 { return float64(k) * float64(k-1) / 2 }
 	var tp, pairsU, pairsV float64
-	for i, row := range c.cells {
-		for _, nij := range row {
-			tp += choose2(nij)
-		}
-		pairsU += choose2(c.rows[i])
+	for _, e := range c.nz {
+		tp += choose2(int(e.n))
+	}
+	for _, ai := range c.rows {
+		pairsU += choose2(ai)
 	}
 	for _, bj := range c.cols {
 		pairsV += choose2(bj)

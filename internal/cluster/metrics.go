@@ -8,16 +8,25 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
 // Contingency is the joint count table of two clusterings over the same
-// items. Labels are arbitrary ints; only equality matters.
+// items. Labels are arbitrary ints; only equality matters. The table is
+// kept sparse: fingerprint partitions have hundreds of clusters per side
+// but at most n non-zero cells, so a dense R×C matrix would be almost all
+// zeros.
 type Contingency struct {
-	n     int     // number of items
-	rows  []int   // marginal counts of clustering U
-	cols  []int   // marginal counts of clustering V
-	cells [][]int // cells[i][j] = |U_i ∩ V_j|
+	n    int    // number of items
+	rows []int  // marginal counts of clustering U
+	cols []int  // marginal counts of clustering V
+	nz   []cell // non-zero cells in row-major order
+}
+
+// cell is one non-zero entry of the table: |U_i ∩ V_j| = n.
+type cell struct {
+	i, j, n int32
 }
 
 // NewContingency builds the table for label vectors x and y, which must
@@ -31,22 +40,12 @@ func NewContingency(x, y []int) (*Contingency, error) {
 	}
 	xi := indexLabels(x)
 	yi := indexLabels(y)
-	c := &Contingency{
-		n:    len(x),
-		rows: make([]int, len(xi)),
-		cols: make([]int, len(yi)),
-	}
-	c.cells = make([][]int, len(xi))
-	for i := range c.cells {
-		c.cells[i] = make([]int, len(yi))
-	}
+	xs := make([]int32, len(x))
+	ys := make([]int32, len(y))
 	for k := range x {
-		i, j := xi[x[k]], yi[y[k]]
-		c.cells[i][j]++
-		c.rows[i]++
-		c.cols[j]++
+		xs[k], ys[k] = int32(xi[x[k]]), int32(yi[y[k]])
 	}
-	return c, nil
+	return newContingency(xs, ys, len(xi), len(yi)), nil
 }
 
 func indexLabels(labels []int) map[int]int {
@@ -64,8 +63,7 @@ func indexLabels(labels []int) map[int]int {
 // map-free fast path used by the study layer's interned label vectors
 // (collate.IntGraph.Labels); when labels are canonicalized by first
 // appearance it produces a table identical to NewContingency over the same
-// partitions, so downstream MI/AMI values are bit-identical. The cell
-// matrix is one contiguous allocation.
+// partitions, so downstream MI/AMI values are bit-identical.
 func NewContingencyDense(x, y []int32, kx, ky int) (*Contingency, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("cluster: label lengths differ (%d vs %d)", len(x), len(y))
@@ -76,37 +74,67 @@ func NewContingencyDense(x, y []int32, kx, ky int) (*Contingency, error) {
 	if kx <= 0 || ky <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive cluster counts (%d, %d)", kx, ky)
 	}
+	return newContingency(x, y, kx, ky), nil
+}
+
+// newContingency counts the table of dense labels x ∈ [0, kx), y ∈ [0, ky).
+// It buckets the y labels by row (a counting sort on x), sorts each bucket
+// and run-length encodes it, which yields the non-zero cells in row-major
+// order in O(n log n) time and O(n + kx + ky) space.
+func newContingency(x, y []int32, kx, ky int) *Contingency {
 	c := &Contingency{
 		n:    len(x),
 		rows: make([]int, kx),
 		cols: make([]int, ky),
 	}
-	backing := make([]int, kx*ky)
-	c.cells = make([][]int, kx)
-	for i := range c.cells {
-		c.cells[i] = backing[i*ky : (i+1)*ky]
-	}
 	for k := range x {
-		i, j := x[k], y[k]
-		c.cells[i][j]++
-		c.rows[i]++
-		c.cols[j]++
+		c.rows[x[k]]++
+		c.cols[y[k]]++
 	}
-	return c, nil
+	end := make([]int, kx) // end of row i's bucket once filled
+	for i := 1; i < kx; i++ {
+		end[i] = end[i-1] + c.rows[i-1]
+	}
+	byRow := make([]int32, len(y))
+	for k := range x {
+		byRow[end[x[k]]] = y[k]
+		end[x[k]]++
+	}
+	cells, from := 0, 0
+	for _, to := range end {
+		b := byRow[from:to]
+		from = to
+		slices.Sort(b)
+		for k := range b {
+			if k == 0 || b[k] != b[k-1] {
+				cells++
+			}
+		}
+	}
+	c.nz = make([]cell, 0, cells)
+	from = 0
+	for i, to := range end {
+		b := byRow[from:to]
+		from = to
+		for len(b) > 0 {
+			m := 1
+			for m < len(b) && b[m] == b[0] {
+				m++
+			}
+			c.nz = append(c.nz, cell{i: int32(i), j: b[0], n: int32(m)})
+			b = b[m:]
+		}
+	}
+	return c
 }
 
 // MI returns the mutual information between the two clusterings, in nats.
 func (c *Contingency) MI() float64 {
 	n := float64(c.n)
 	var mi float64
-	for i, row := range c.cells {
-		for j, nij := range row {
-			if nij == 0 {
-				continue
-			}
-			pij := float64(nij) / n
-			mi += pij * math.Log(n*float64(nij)/(float64(c.rows[i])*float64(c.cols[j])))
-		}
+	for _, e := range c.nz {
+		pij := float64(e.n) / n
+		mi += pij * math.Log(n*float64(e.n)/(float64(c.rows[e.i])*float64(c.cols[e.j])))
 	}
 	if mi < 0 { // guard against -0 from rounding
 		mi = 0
@@ -138,32 +166,100 @@ func marginalEntropy(counts []int, n int) float64 {
 
 // ExpectedMI returns E[MI] under the permutation (hypergeometric) model of
 // Vinh et al., in nats. Complexity is O(R·C·n̄) over the contingency shape.
+//
+// A term depends on the cell only through its marginals (a, b) and nij, and
+// real partitions repeat sizes (most clusters are singletons), so the terms
+// of each (a, b) size-class pair that occurs more than once are computed
+// once per call and replayed for every (row, column) pair of those sizes;
+// a pair that occurs once is computed in place. Either way the terms are
+// added in the original (row, column, nij) order, so the sum is
+// bit-identical to the direct triple loop. The memo lives only for the
+// call: the streaming engine asks again with a different n on every
+// refresh.
 func (c *Contingency) ExpectedMI() float64 {
 	n := c.n
 	lgam := logFactorials(n + 1)
 	logN := lgam[n]
 	fn := float64(n)
+	rowClass, rowSizes, rowCount := sizeClasses(c.rows)
+	colClass, colSizes, colCount := sizeClasses(c.cols)
+	// Memoized pair k's terms are terms[span[k]:span[k+1]], in one exactly
+	// sized slice; pairs seen once get an empty span.
+	nc := len(colSizes)
+	span := make([]int32, len(rowSizes)*nc+1)
+	for ri, a := range rowSizes {
+		for ci, b := range colSizes {
+			k := ri*nc + ci
+			span[k+1] = span[k]
+			if rowCount[ri]*colCount[ci] > 1 {
+				lo, hi := emiRange(a, b, n)
+				span[k+1] += int32(max(hi-lo+1, 0))
+			}
+		}
+	}
+	terms := make([]float64, span[len(span)-1])
+	for ri, ai := range rowSizes {
+		for ci, bj := range colSizes {
+			k := ri*nc + ci
+			lo, _ := emiRange(ai, bj, n)
+			ts := terms[span[k]:span[k+1]]
+			for t := range ts {
+				ts[t] = emiTerm(ai, bj, lo+t, n, fn, logN, lgam)
+			}
+		}
+	}
 	var emi float64
-	for _, ai := range c.rows {
-		for _, bj := range c.cols {
-			lo := ai + bj - n
-			if lo < 1 {
-				lo = 1
+	for i, rc := range rowClass {
+		for j, cc := range colClass {
+			k := int(rc)*nc + int(cc)
+			if rowCount[rc]*colCount[cc] > 1 {
+				for _, t := range terms[span[k]:span[k+1]] {
+					emi += t
+				}
+				continue
 			}
-			hi := ai
-			if bj < hi {
-				hi = bj
-			}
+			ai, bj := c.rows[i], c.cols[j]
+			lo, hi := emiRange(ai, bj, n)
 			for nij := lo; nij <= hi; nij++ {
-				// term = nij/n · log(n·nij / (ai·bj)) · P(nij | ai, bj, n)
-				logP := lgam[ai] + lgam[bj] + lgam[n-ai] + lgam[n-bj] -
-					logN - lgam[nij] - lgam[ai-nij] - lgam[bj-nij] - lgam[n-ai-bj+nij]
-				info := math.Log(fn*float64(nij)/(float64(ai)*float64(bj))) * float64(nij) / fn
-				emi += info * math.Exp(logP)
+				emi += emiTerm(ai, bj, nij, n, fn, logN, lgam)
 			}
 		}
 	}
 	return emi
+}
+
+// emiRange is the support of nij for marginals (a, b) over n items:
+// [max(1, a+b−n), min(a, b)], empty when a or b is zero.
+func emiRange(a, b, n int) (lo, hi int) {
+	return max(a+b-n, 1), min(a, b)
+}
+
+// emiTerm is one E[MI] term, nij/n · log(n·nij / (a·b)) · P(nij | a, b, n).
+// The explicit conversion rounds the product, so a caller's addition
+// cannot fuse with it: memoized and in-place terms are the same float64.
+func emiTerm(ai, bj, nij, n int, fn, logN float64, lgam []float64) float64 {
+	logP := lgam[ai] + lgam[bj] + lgam[n-ai] + lgam[n-bj] -
+		logN - lgam[nij] - lgam[ai-nij] - lgam[bj-nij] - lgam[n-ai-bj+nij]
+	info := math.Log(fn*float64(nij)/(float64(ai)*float64(bj))) * float64(nij) / fn
+	return float64(info * math.Exp(logP))
+}
+
+// sizeClasses maps each marginal count to a dense class index shared by
+// equal counts (classes numbered by first appearance). It returns the class
+// per entry, the distinct counts, and how many entries each class has.
+func sizeClasses(counts []int) (class []int32, sizes, mult []int) {
+	classOf := make([]int32, slices.Max(counts)+1)
+	class = make([]int32, len(counts))
+	for i, m := range counts {
+		if classOf[m] == 0 {
+			sizes = append(sizes, m)
+			mult = append(mult, 0)
+			classOf[m] = int32(len(sizes))
+		}
+		class[i] = classOf[m] - 1
+		mult[class[i]]++
+	}
+	return class, sizes, mult
 }
 
 // logFactorials returns a read-only slice with lgam[k] = ln k! for k in
@@ -267,11 +363,11 @@ func ARI(x, y []int) (float64, error) {
 	}
 	choose2 := func(k int) float64 { return float64(k) * float64(k-1) / 2 }
 	var sumCells, sumRows, sumCols float64
-	for i, row := range c.cells {
-		for _, nij := range row {
-			sumCells += choose2(nij)
-		}
-		sumRows += choose2(c.rows[i])
+	for _, e := range c.nz {
+		sumCells += choose2(int(e.n))
+	}
+	for _, ai := range c.rows {
+		sumRows += choose2(ai)
 	}
 	for _, bj := range c.cols {
 		sumCols += choose2(bj)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/vectors"
 	"repro/internal/webaudio"
 )
@@ -126,7 +127,8 @@ func TestRunAllStopsAfterError(t *testing.T) {
 // TestParallelRenderSingleflight: under a parallel run with a shared cache,
 // concurrent misses on the same (stack, vector, offset) key must collapse to
 // one render — every cache miss corresponds to exactly one memoized entry —
-// and the dataset must be bit-identical to a serial run.
+// each (stack, vector) group must render in at most one pass, and the
+// dataset must be bit-identical to a serial run.
 func TestParallelRenderSingleflight(t *testing.T) {
 	cfg := Config{Seed: 5, Users: 60, Iterations: 6}
 
@@ -154,6 +156,40 @@ func TestParallelRenderSingleflight(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("expected cache hits in a 60-user study (platform classes repeat)")
+	}
+	// Every group misses at least once in a fresh cache, so as many passes
+	// as groups means no group was rendered twice.
+	groups := map[renderGroup]bool{}
+	for _, d := range parallel.Devices {
+		for _, v := range vectors.All {
+			groups[renderGroup{stack: d.AudioStackKey(), vector: v}] = true
+		}
+	}
+	if st.Passes != int64(len(groups)) {
+		t.Errorf("render passes = %d for %d (stack, vector) groups: a group rendered more than once",
+			st.Passes, len(groups))
+	}
+}
+
+// TestShadowAuditCoversEveryRenderedKey: with every key sampled (fpstudy
+// -shadow 1), a study whose groups render in multi-offset passes still
+// audits each key it renders, once, and the engines agree.
+func TestShadowAuditCoversEveryRenderedKey(t *testing.T) {
+	auditor := vectors.NewShadowAuditor(vectors.ShadowConfig{Every: 1, Registry: obs.NewRegistry()})
+	cache := vectors.NewCache()
+	if _, err := Run(Config{Seed: 3, Users: 12, Iterations: 4, RenderCache: cache, ShadowAudit: auditor}); err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	if st.Passes >= st.Misses {
+		t.Fatalf("passes = %d, rendered keys = %d: no pass filled several offsets", st.Passes, st.Misses)
+	}
+	sum := auditor.Summary()
+	if sum.Checks != st.Misses {
+		t.Errorf("audits = %d, rendered keys = %d", sum.Checks, st.Misses)
+	}
+	if sum.Divergences != 0 || sum.Errors != 0 {
+		t.Errorf("audit summary = %+v", sum)
 	}
 }
 

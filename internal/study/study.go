@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,9 +120,13 @@ type Dataset struct {
 func (ds *Dataset) UserIDs() []string { return ds.Users }
 
 // Run simulates the full study: every user runs every vector Iterations
-// times. Rendering is memoized per (audio stack, vector, capture offset), so
-// cost scales with platform diversity rather than population size. The
-// result is deterministic for a given Config, independent of Parallelism.
+// times. Every capture offset is drawn before rendering starts, so the run
+// knows each (audio stack, vector) group's offset set, and the first cache
+// miss on a group renders all of the group's missing offsets in one pass
+// (vectors.Cache.RunGroup). Render cost therefore scales with the number of
+// (audio stack, vector) groups — platform diversity — not with population
+// size, iterations or offsets. The result is deterministic for a given
+// Config, independent of Parallelism.
 func Run(cfg Config) (*Dataset, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -218,6 +223,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	}
 
 	_, renderSpan := obsStart(ctx, "render")
+	plan := planOffsets(ds, jitter, userSeeds, resumed)
 	var done atomic.Int64
 	cache := cfg.RenderCache
 	if cache == nil {
@@ -226,12 +232,13 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	if cfg.ShadowAudit != nil {
 		cache.SetShadow(cfg.ShadowAudit)
 	}
+	passes0 := cache.Stats().Passes
 	if err := runAll(len(devs), cfg.Parallelism, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if !resumed[i] {
-			if err := runUser(ds, cache, jitter, i, userSeeds[i]); err != nil {
+			if err := runUser(ds, cache, plan, i); err != nil {
 				return err
 			}
 			if ckpt != nil {
@@ -253,6 +260,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	renderSpan.SetAttr("cache_hits", int(cst.Hits))
 	renderSpan.SetAttr("cache_misses", int(cst.Misses))
 	renderSpan.SetAttr("cache_singleflight_waits", int(cst.Waits))
+	renderSpan.SetAttr("render_passes", int(cst.Passes-passes0))
 	renderSpan.End()
 
 	ds.Parallelism = cfg.Parallelism
@@ -262,16 +270,75 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// runUser executes all iterations of all vectors for one participant.
-func runUser(ds *Dataset, cache *vectors.Cache, jitter *platform.JitterModel, idx int, seed int64) error {
+// renderGroup is one (audio stack, vector) pair: every capture of it
+// renders the same graph on the same traits, so one pass serves them all.
+type renderGroup struct {
+	stack  string
+	vector vectors.ID
+}
+
+// offsetPlan is every capture offset of a run, drawn before rendering.
+type offsetPlan struct {
+	// offsets[u][it*len(vectors.All)+v] is user u's offset for iteration
+	// it of vectors.All[v].
+	offsets [][]int
+	// groups maps each group to the ascending offsets its users need.
+	groups map[renderGroup][]int
+}
+
+// planOffsets draws every user's capture offsets from the pre-derived
+// per-user seeds, in the order a sequential draw would take them, and
+// collects each (stack, vector) group's offset set. Users restored from a
+// checkpoint are skipped: they render nothing.
+func planOffsets(ds *Dataset, jitter *platform.JitterModel, seeds []int64, resumed []bool) offsetPlan {
+	plan := offsetPlan{
+		offsets: make([][]int, len(ds.Devices)),
+		groups:  make(map[renderGroup][]int),
+	}
+	nv := len(vectors.All)
+	for u, d := range ds.Devices {
+		if resumed[u] {
+			continue
+		}
+		rng := rand.New(rand.NewSource(seeds[u]))
+		offs := make([]int, ds.Iterations*nv)
+		for it := 0; it < ds.Iterations; it++ {
+			for vi, v := range vectors.All {
+				offs[it*nv+vi] = jitter.Offset(rng, d.Load, v)
+			}
+		}
+		plan.offsets[u] = offs
+		stack := d.AudioStackKey()
+		for vi, v := range vectors.All {
+			g := renderGroup{stack: stack, vector: v}
+			set := plan.groups[g]
+			for it := 0; it < ds.Iterations; it++ {
+				off := offs[it*nv+vi]
+				if i, found := slices.BinarySearch(set, off); !found {
+					set = slices.Insert(set, i, off)
+				}
+			}
+			plan.groups[g] = set
+		}
+	}
+	return plan
+}
+
+// runUser executes all iterations of all vectors for one participant,
+// at the offsets the plan drew for it.
+func runUser(ds *Dataset, cache *vectors.Cache, plan offsetPlan, idx int) error {
 	d := ds.Devices[idx]
 	runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
 	stack := d.AudioStackKey()
-	rng := rand.New(rand.NewSource(seed))
+	offs := plan.offsets[idx]
+	groups := make([][]int, len(vectors.All))
+	for vi, v := range vectors.All {
+		groups[vi] = plan.groups[renderGroup{stack: stack, vector: v}]
+	}
 	for it := 0; it < ds.Iterations; it++ {
-		for _, v := range vectors.All {
-			off := jitter.Offset(rng, d.Load, v)
-			fp, err := cache.Run(stack, runner, v, off)
+		for vi, v := range vectors.All {
+			off := offs[it*len(vectors.All)+vi]
+			fp, err := cache.RunGroup(stack, runner, v, off, groups[vi])
 			if err != nil {
 				return fmt.Errorf("user %s vector %v: %w", d.ID, v, err)
 			}

@@ -32,6 +32,14 @@ func TestRunContextTrace(t *testing.T) {
 			t.Errorf("study.run missing %q child span", stage)
 		}
 	}
+	// A private cache starts empty: every rendered key came from one of the
+	// run's passes, and a pass fills at least one key.
+	attrs := run.Find("render").Export().Attrs
+	passes, _ := attrs["render_passes"].(int)
+	misses, _ := attrs["cache_misses"].(int)
+	if passes <= 0 || passes > misses {
+		t.Errorf("render span: render_passes = %v, cache_misses = %v", attrs["render_passes"], attrs["cache_misses"])
+	}
 
 	plain, err := Run(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package vectors
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -10,7 +11,9 @@ import (
 // engine's tests), so memoization is exact: a study over thousands of users
 // re-renders only once per distinct platform class and capture state,
 // turning an O(users × iterations) rendering bill into O(platform classes ×
-// offsets). Safe for concurrent use.
+// offsets). RunGroup goes one step further: the offsets of one (stack,
+// vector) group share a single render pass, so the bill becomes one pass
+// per platform class and vector. Safe for concurrent use.
 //
 // Misses are deduplicated singleflight-style: when N goroutines miss on the
 // same key concurrently (the common case in a parallel study sweep, where
@@ -27,6 +30,7 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	waits     atomic.Int64
+	passes    atomic.Int64
 	evictions atomic.Int64
 
 	// shadow, when set, samples this cache's miss-path renders through the
@@ -92,19 +96,25 @@ func (c *Cache) Len() int {
 type CacheStats struct {
 	// Hits counts lookups served from the memo map.
 	Hits int64
-	// Misses counts lookups that ran the render themselves.
+	// Misses counts the keys rendered on the miss path: a render pass that
+	// fills several offsets of one (stack, vector) group counts one miss
+	// per key, so in an unbounded cache Misses equals Entries.
 	Misses int64
 	// Waits counts lookups that joined another goroutine's in-progress
 	// render instead of starting their own.
 	Waits int64
 	// Evictions counts entries dropped by the SetMaxEntries bound.
 	Evictions int64
+	// Passes counts render passes: misses that ran the renderer, each
+	// filling one or more keys.
+	Passes int64
 	// Entries is the current number of memoized renders.
 	Entries int
 }
 
-// HitRatio returns the fraction of lookups that avoided a render (hits and
-// singleflight waits over all lookups), or 0 before any lookup.
+// HitRatio returns the share of cache traffic served without rendering:
+// hits and singleflight waits over hits, waits and rendered keys (Misses),
+// or 0 before any lookup.
 func (s CacheStats) HitRatio() float64 {
 	total := s.Hits + s.Waits + s.Misses
 	if total == 0 {
@@ -123,6 +133,7 @@ func (c *Cache) Stats() CacheStats {
 		Misses:    c.misses.Load(),
 		Waits:     c.waits.Load(),
 		Evictions: c.evictions.Load(),
+		Passes:    c.passes.Load(),
 		Entries:   entries,
 	}
 }
@@ -138,16 +149,32 @@ func (c *Cache) Shadow() *ShadowAuditor { return c.shadow.Load() }
 
 // Run returns the fingerprint for (stackKey, id, offset), rendering through
 // r on a cache miss. stackKey must uniquely identify r's traits: two runners
-// with different traits must never share a key.
+// with different traits must never share a key. Run is RunGroup with no
+// other planned offsets.
 func (c *Cache) Run(stackKey string, r *Runner, id ID, offset int) (Fingerprint, error) {
-	return c.Do(stackKey, id, offset, func() (Fingerprint, error) {
-		fp, err := r.Run(id, offset)
-		if err == nil {
-			if a := c.shadow.Load(); a != nil {
-				a.MaybeAudit(stackKey, r, id, offset)
+	return c.RunGroup(stackKey, r, id, offset, nil)
+}
+
+// RunGroup is Run for a caller that knows which capture offsets it will ask
+// for on (stackKey, id): group lists them in ascending order. On a miss,
+// one render pass (Runner.RunOffsets) fills offset together with every
+// group offset that is neither memoized nor in flight, so a (stack, vector)
+// group costs one render however many offsets it needs. Every key of the
+// pass is registered in flight before rendering starts, so concurrent
+// lookups on any of them wait for the pass instead of rendering again, and
+// each rendered key counts as one miss.
+func (c *Cache) RunGroup(stackKey string, r *Runner, id ID, offset int, group []int) (Fingerprint, error) {
+	return c.do(stackKey, id, offset, group, func(offsets []int) ([]Fingerprint, error) {
+		fps, err := r.RunOffsets(id, offsets)
+		if err != nil {
+			return nil, err
+		}
+		if a := c.shadow.Load(); a != nil {
+			for _, off := range offsets {
+				a.MaybeAudit(stackKey, r, id, off)
 			}
 		}
-		return fp, err
+		return fps, nil
 	})
 }
 
@@ -157,6 +184,17 @@ func (c *Cache) Run(stackKey string, r *Runner, id ID, offset int) (Fingerprint,
 // Errors are returned to every waiter but never cached — a later lookup
 // retries the render.
 func (c *Cache) Do(stackKey string, id ID, offset int, render func() (Fingerprint, error)) (Fingerprint, error) {
+	return c.do(stackKey, id, offset, nil, func([]int) ([]Fingerprint, error) {
+		fp, err := render()
+		return []Fingerprint{fp}, err
+	})
+}
+
+// do is the memo and singleflight behind Run, RunGroup and Do. On a miss it
+// claims offset plus group's missing, not-in-flight offsets (ascending) and
+// calls render once; on success render returns one fingerprint per claimed
+// offset.
+func (c *Cache) do(stackKey string, id ID, offset int, group []int, render func(offsets []int) ([]Fingerprint, error)) (Fingerprint, error) {
 	k := cacheKey{stack: stackKey, vector: id, offset: offset}
 
 	c.mu.Lock()
@@ -173,21 +211,47 @@ func (c *Cache) Do(stackKey string, id ID, offset int, render func() (Fingerprin
 		<-call.done
 		return call.fp, call.err
 	}
-	call := &inflightCall{done: make(chan struct{})}
-	c.inflight[k] = call
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	mCacheMisses.Inc()
-	call.fp, call.err = render()
-
-	c.mu.Lock()
-	delete(c.inflight, k)
-	if call.err == nil {
-		c.m[k] = call.fp
-		c.evictLocked()
+	offsets := []int{offset}
+	for _, off := range group {
+		gk := cacheKey{stack: stackKey, vector: id, offset: off}
+		_, memo := c.m[gk]
+		_, busy := c.inflight[gk]
+		if !memo && !busy {
+			offsets = append(offsets, off)
+		}
+	}
+	slices.Sort(offsets)
+	offsets = slices.Compact(offsets)
+	calls := make([]*inflightCall, len(offsets))
+	mine := 0
+	for i, off := range offsets {
+		calls[i] = &inflightCall{done: make(chan struct{})}
+		c.inflight[cacheKey{stack: stackKey, vector: id, offset: off}] = calls[i]
+		if off == offset {
+			mine = i
+		}
 	}
 	c.mu.Unlock()
-	close(call.done)
-	return call.fp, call.err
+
+	c.misses.Add(int64(len(offsets)))
+	mCacheMisses.Add(int64(len(offsets)))
+	c.passes.Add(1)
+	fps, err := render(offsets)
+
+	c.mu.Lock()
+	for i, off := range offsets {
+		ck := cacheKey{stack: stackKey, vector: id, offset: off}
+		delete(c.inflight, ck)
+		calls[i].err = err
+		if err == nil {
+			calls[i].fp = fps[i]
+			c.m[ck] = fps[i]
+		}
+	}
+	c.evictLocked()
+	c.mu.Unlock()
+	for _, call := range calls {
+		close(call.done)
+	}
+	return calls[mine].fp, err
 }

@@ -127,3 +127,74 @@ func TestCacheMaxEntries(t *testing.T) {
 		t.Errorf("len %d after unbounding, want 2", c.Len())
 	}
 }
+
+// TestCacheRunGroupOnePass: concurrent lookups on different offsets of one
+// (stack, vector) group share a single render pass. The first miss claims
+// every missing offset of the group, the others wait on it, each rendered
+// key counts one miss, and every result equals a fresh single-offset
+// render.
+func TestCacheRunGroupOnePass(t *testing.T) {
+	c := NewCache()
+	r := defaultRunner()
+	group := []int{0, 1, 2, 3, 5, 8, 13, 20}
+
+	var wg sync.WaitGroup
+	got := make([]Fingerprint, len(group))
+	errs := make([]error, len(group))
+	for i, off := range group {
+		wg.Add(1)
+		go func(i, off int) {
+			defer wg.Done()
+			got[i], errs[i] = c.RunGroup("stack", r, Hybrid, off, group)
+		}(i, off)
+	}
+	wg.Wait()
+
+	for i, off := range group {
+		if errs[i] != nil {
+			t.Fatalf("offset %d: %v", off, errs[i])
+		}
+		want, err := r.Run(Hybrid, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("offset %d: group render %v != fresh render %v", off, got[i], want)
+		}
+	}
+	st := c.Stats()
+	if st.Passes != 1 {
+		t.Errorf("passes = %d, want 1 for one group", st.Passes)
+	}
+	if st.Misses != int64(len(group)) || st.Entries != len(group) {
+		t.Errorf("misses = %d, entries = %d, want %d each", st.Misses, st.Entries, len(group))
+	}
+	if st.Hits+st.Waits != int64(len(group)-1) {
+		t.Errorf("hits+waits = %d, want %d", st.Hits+st.Waits, len(group)-1)
+	}
+
+	// A later lookup of a new offset renders only that offset: the group's
+	// memoized keys are not rendered again.
+	if _, err := c.RunGroup("stack", r, Hybrid, 4, append(group, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Passes != 2 || st.Misses != int64(len(group))+1 {
+		t.Errorf("after new offset: passes = %d, misses = %d", st.Passes, st.Misses)
+	}
+}
+
+// TestCacheRunGroupErrorReachesEveryKey: a failed pass fails every key it
+// claimed and caches none of them.
+func TestCacheRunGroupErrorReachesEveryKey(t *testing.T) {
+	c := NewCache()
+	r := defaultRunner()
+	if _, err := c.RunGroup("stack", r, ID(42), 0, []int{0, 3}); err == nil {
+		t.Fatal("unknown vector rendered")
+	}
+	if c.Len() != 0 {
+		t.Fatalf("failed pass cached %d entries", c.Len())
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Passes != 1 {
+		t.Fatalf("stats after failed pass = %+v", st)
+	}
+}

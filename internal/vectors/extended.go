@@ -37,26 +37,14 @@ func extendedString(id ID) (string, bool) {
 
 // RunExtended executes an extension vector (same contract as Run).
 func (r *Runner) RunExtended(id ID, captureOffset int) (Fingerprint, error) {
-	if captureOffset < 0 {
-		return Fingerprint{}, fmt.Errorf("vectors: negative capture offset %d", captureOffset)
+	if _, ok := extendedString(id); !ok {
+		return Fingerprint{}, fmt.Errorf("vectors: %d is not an extension vector", int(id))
 	}
-	return timeRender(id, func() (Fingerprint, error) { return r.renderExtended(id, captureOffset) })
-}
-
-func (r *Runner) renderExtended(id ID, captureOffset int) (Fingerprint, error) {
-	rt := r.newRealtime()
-	signal, err := buildExtendedSignal(rt, id)
-	if err != nil {
+	var out [1]Fingerprint
+	if err := r.pass(id, []int{captureOffset}, out[:]); err != nil {
 		return Fingerprint{}, err
 	}
-	tail, err := buildHybridTail(rt, signal)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	if err := rt.CaptureAfter(captureBaseQuanta, captureOffset); err != nil {
-		return Fingerprint{}, err
-	}
-	return tail.fingerprint(id, r.digest)
+	return out[0], nil
 }
 
 // buildExtendedSignal wires the signal stage of one extension vector.

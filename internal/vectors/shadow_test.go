@@ -160,3 +160,30 @@ func TestShadowHandlerServesSummary(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 }
+
+// TestCacheShadowAuditsEveryKeyOfAPass: with every key sampled (-shadow 1),
+// a render pass that fills several offsets audits each key it rendered —
+// one lockstep check per rendered key, none on later hits.
+func TestCacheShadowAuditsEveryKeyOfAPass(t *testing.T) {
+	a := testAuditor(t, 1)
+	c := NewCache()
+	c.SetShadow(a)
+	r := NewRunner(webaudio.DefaultTraits(), 44100)
+	group := []int{0, 2, 5}
+	for _, off := range group {
+		if _, err := c.RunGroup("stack-a", r, FFT, off, group); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.Passes != 1 {
+		t.Fatalf("passes = %d, want 1", st.Passes)
+	}
+	s := a.Summary()
+	if s.Checks != st.Misses || s.Checks != int64(len(group)) {
+		t.Fatalf("audits = %d, rendered keys = %d, want %d each", s.Checks, st.Misses, len(group))
+	}
+	if s.Divergences != 0 || s.Errors != 0 {
+		t.Fatalf("summary = %+v", s)
+	}
+}

@@ -43,6 +43,7 @@ func hitRatio(served, misses int64) float64 {
 	return float64(served) / float64(total)
 }
 
+// renderObserved records one completed render pass of vector id.
 func renderObserved(id ID, elapsed time.Duration) {
 	labels := obs.Labels{"vector": id.String()}
 	obs.Default.Counter("vectors_renders_total",
@@ -50,14 +51,4 @@ func renderObserved(id ID, elapsed time.Duration) {
 	obs.Default.Histogram("vectors_render_duration_seconds",
 		"wall time of one vector render", obs.LatencyBuckets(), labels).
 		Observe(elapsed.Seconds())
-}
-
-// timeRender wraps a render function with duration telemetry.
-func timeRender(id ID, fn func() (Fingerprint, error)) (Fingerprint, error) {
-	start := time.Now()
-	fp, err := fn()
-	if err == nil {
-		renderObserved(id, time.Since(start))
-	}
-	return fp, err
 }

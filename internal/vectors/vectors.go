@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/dsp"
 	"repro/internal/hashx"
@@ -184,33 +185,88 @@ const (
 
 // Run executes vector id. captureOffset is the load-induced scheduling slack
 // (in render quanta) at the moment the script observes the graph; it is
-// ignored by DC, whose offline render is deterministic.
+// ignored by DC, whose offline render is deterministic. Run is the
+// one-offset case of RunOffsets.
 func (r *Runner) Run(id ID, captureOffset int) (Fingerprint, error) {
-	if captureOffset < 0 {
-		return Fingerprint{}, fmt.Errorf("vectors: negative capture offset %d", captureOffset)
+	var out [1]Fingerprint
+	if err := r.runPaper(id, []int{captureOffset}, out[:]); err != nil {
+		return Fingerprint{}, err
 	}
-	return timeRender(id, func() (Fingerprint, error) { return r.render(id, captureOffset) })
+	return out[0], nil
 }
 
-// render dispatches to the vector implementations (timing handled by Run).
-func (r *Runner) render(id ID, captureOffset int) (Fingerprint, error) {
-	switch id {
-	case DC:
-		return r.runDC()
-	case FFT:
-		return r.runFFT(captureOffset)
-	case Hybrid:
-		return r.runHybridFamily(Hybrid, captureOffset)
-	case CustomSignal:
-		return r.runHybridFamily(CustomSignal, captureOffset)
-	case MergedSignals:
-		return r.runHybridFamily(MergedSignals, captureOffset)
-	case AM:
-		return r.runHybridFamily(AM, captureOffset)
-	case FM:
-		return r.runHybridFamily(FM, captureOffset)
+// RunOffsets renders vector id once and captures a fingerprint at each of
+// offsets, which must be non-negative and strictly ascending. Element i is
+// bit-identical to Run(id, offsets[i]): the capture at offset o happens
+// after captureBaseQuanta+o quanta of the one render, and every capture is
+// a first analyser capture (smoothing τ = 0), as in a fresh context. DC
+// renders once and returns its fingerprint at every offset.
+func (r *Runner) RunOffsets(id ID, offsets []int) ([]Fingerprint, error) {
+	out := make([]Fingerprint, len(offsets))
+	if err := r.runPaper(id, offsets, out); err != nil {
+		return nil, err
 	}
-	return Fingerprint{}, fmt.Errorf("vectors: unknown vector %d", int(id))
+	return out, nil
+}
+
+// runPaper is the render pass of one of the paper's seven vectors.
+func (r *Runner) runPaper(id ID, offsets []int, out []Fingerprint) error {
+	if id < DC || id > FM {
+		return fmt.Errorf("vectors: unknown vector %d", int(id))
+	}
+	return r.pass(id, offsets, out)
+}
+
+// pass is the one render path behind Run, RunOffsets and RunExtended: it
+// renders id's graph once, capturing out[i] at offsets[i], and observes the
+// whole pass as one render on the render telemetry.
+func (r *Runner) pass(id ID, offsets []int, out []Fingerprint) error {
+	for i, off := range offsets {
+		if off < 0 {
+			return fmt.Errorf("vectors: negative capture offset %d", off)
+		}
+		if i > 0 && off <= offsets[i-1] {
+			return fmt.Errorf("vectors: capture offsets not strictly ascending (%d after %d)", off, offsets[i-1])
+		}
+	}
+	if len(offsets) == 0 {
+		return nil
+	}
+	start := time.Now()
+	if err := r.render(id, offsets, out); err != nil {
+		return err
+	}
+	renderObserved(id, time.Since(start))
+	return nil
+}
+
+// render runs the pass: DC's offline render once, or the live graph with a
+// capture at quantum captureBaseQuanta+offsets[i] for each i.
+func (r *Runner) render(id ID, offsets []int, out []Fingerprint) error {
+	if id == DC {
+		fp, err := r.runDC()
+		for i := range out {
+			out[i] = fp
+		}
+		return err
+	}
+	rt := r.newRealtime()
+	tap, err := buildLiveGraph(rt, id)
+	if err != nil {
+		return err
+	}
+	rendered := 0
+	for i, off := range offsets {
+		next := captureBaseQuanta + off
+		if err := rt.RenderQuanta(next - rendered); err != nil {
+			return err
+		}
+		rendered = next
+		if out[i], err = tap.fingerprint(id, r.digest); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunAll executes every vector with the same capture offset and returns the
@@ -260,33 +316,11 @@ func buildDCGraph(ctx *webaudio.Context) {
 	osc.Start(0)
 }
 
-// runFFT implements the FFT vector (paper Fig. 2): live context → triangle
-// oscillator (10 kHz) → AnalyserNode → ScriptProcessor → GainNode(0) →
-// destination. The script hashes getFloatFrequencyData output from inside an
-// audioprocess callback; which callback fires when the script looks is load-
-// dependent, hence captureOffset.
-func (r *Runner) runFFT(captureOffset int) (Fingerprint, error) {
-	rt := r.newRealtime()
-	an, err := buildFFTGraph(rt)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	if err := rt.CaptureAfter(captureBaseQuanta, captureOffset); err != nil {
-		return Fingerprint{}, err
-	}
-	freq := make([]float32, an.FrequencyBinCount())
-	if err := an.GetFloatFrequencyData(freq); err != nil {
-		return Fingerprint{}, err
-	}
-	return Fingerprint{
-		Vector: FFT,
-		Hash:   r.digest(dsp.Float32SliceToBytes(freq)),
-		Sum:    sumFinite(freq),
-	}, nil
-}
-
 // buildFFTGraph wires the Fig. 2 graph (triangle oscillator → Analyser →
 // ScriptProcessor → Gain(0) → destination) and returns the analyser tap.
+// The FFT vector hashes getFloatFrequencyData output read from inside an
+// audioprocess callback; which callback fires when the script looks is
+// load-dependent, hence the capture offset.
 func buildFFTGraph(rt *webaudio.RealtimeSim) (*webaudio.AnalyserNode, error) {
 	osc := rt.NewOscillator(webaudio.Triangle, toneHz)
 	an, err := rt.NewAnalyser(fftSize)
@@ -306,24 +340,53 @@ func buildFFTGraph(rt *webaudio.RealtimeSim) (*webaudio.AnalyserNode, error) {
 	return an, nil
 }
 
-// hybridTail wires signal → Analyser → DynamicsCompressor → ScriptProcessor
-// → Gain(0) → destination (paper Fig. 6) and returns the taps needed for the
-// fingerprint: the analyser and the script processor retaining the last
-// compressor output buffer.
-type hybridTail struct {
+// liveTap is what a live-context vector reads at its capture point: the
+// analyser spectrum and, for the hybrid family, the last compressor buffer
+// the ScriptProcessor delivered.
+type liveTap struct {
 	analyser *webaudio.AnalyserNode
-	lastBuf  []float32
+	freq     []float32
+	// lastBuf is nil for FFT, whose fingerprint is the spectrum alone.
+	lastBuf []float32
 }
 
-func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*hybridTail, error) {
+// buildLiveGraph wires id's live-context graph on rt and returns its tap.
+// FFT is the Fig. 2 graph; every other vector feeds its signal stage into
+// the Fig. 6 tail.
+func buildLiveGraph(rt *webaudio.RealtimeSim, id ID) (liveTap, error) {
+	if id == FFT {
+		an, err := buildFFTGraph(rt)
+		if err != nil {
+			return liveTap{}, err
+		}
+		return liveTap{analyser: an, freq: make([]float32, an.FrequencyBinCount())}, nil
+	}
+	var signal webaudio.Node
+	var err error
+	if id >= Hybrid && id <= FM {
+		signal, err = buildHybridSignal(rt, id)
+	} else {
+		signal, err = buildExtendedSignal(rt, id)
+	}
+	if err != nil {
+		return liveTap{}, err
+	}
+	return buildHybridTail(rt, signal)
+}
+
+// buildHybridTail wires signal → Analyser → DynamicsCompressor →
+// ScriptProcessor → Gain(0) → destination (paper Fig. 6) and returns the
+// tap: the analyser and the script processor retaining the last compressor
+// output buffer.
+func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (liveTap, error) {
 	an, err := rt.NewAnalyser(fftSize)
 	if err != nil {
-		return nil, err
+		return liveTap{}, err
 	}
 	comp := rt.NewDynamicsCompressor()
 	sp, err := rt.NewScriptProcessor(spBufferSize)
 	if err != nil {
-		return nil, err
+		return liveTap{}, err
 	}
 	mute := rt.NewGain(0)
 	webaudio.Connect(signal, an)
@@ -331,28 +394,29 @@ func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*hybridTai
 	webaudio.Connect(comp, sp)
 	webaudio.Connect(sp, mute)
 	webaudio.Connect(mute, rt.Destination())
-	t := &hybridTail{analyser: an, lastBuf: make([]float32, spBufferSize)}
+	lastBuf := make([]float32, spBufferSize)
 	sp.OnAudioProcess = func(e webaudio.AudioProcessEvent) {
-		copy(t.lastBuf, e.InputBuffer)
+		copy(lastBuf, e.InputBuffer)
 	}
-	return t, nil
+	return liveTap{analyser: an, freq: make([]float32, an.FrequencyBinCount()), lastBuf: lastBuf}, nil
 }
 
-// fingerprint reads the analyser spectrum plus the retained compressor
-// buffer and hashes them together — the DC and FFT halves of the hybrid
-// family.
-func (t *hybridTail) fingerprint(id ID, digest func([]byte) string) (Fingerprint, error) {
-	freq := make([]float32, t.analyser.FrequencyBinCount())
-	if err := t.analyser.GetFloatFrequencyData(freq); err != nil {
+// fingerprint hashes what the script reads at the capture point: the
+// getFloatFrequencyData spectrum (FFT), plus the retained compressor buffer
+// for the hybrid family — its DC and FFT halves. The read is a first
+// capture, so a pass capturing at several points matches fresh renders.
+func (t *liveTap) fingerprint(id ID, digest func([]byte) string) (Fingerprint, error) {
+	t.analyser.ResetSmoothing()
+	if err := t.analyser.GetFloatFrequencyData(t.freq); err != nil {
 		return Fingerprint{}, err
 	}
-	data := dsp.Float32SliceToBytes(freq)
-	data = append(data, dsp.Float32SliceToBytes(t.lastBuf)...)
-	return Fingerprint{
-		Vector: id,
-		Hash:   digest(data),
-		Sum:    sumFinite(freq) + dsp.SumAbs(t.lastBuf),
-	}, nil
+	data := dsp.Float32SliceToBytes(t.freq)
+	sum := sumFinite(t.freq)
+	if t.lastBuf != nil {
+		data = append(data, dsp.Float32SliceToBytes(t.lastBuf)...)
+		sum += dsp.SumAbs(t.lastBuf)
+	}
+	return Fingerprint{Vector: id, Hash: digest(data), Sum: sum}, nil
 }
 
 // customWaveCoefficients are the fixed 12-element real/imag arrays of the
@@ -373,8 +437,9 @@ func customWaveCoefficients() *webaudio.PeriodicWave {
 	return &webaudio.PeriodicWave{Real: real, Imag: imag}
 }
 
-// runHybridFamily implements Hybrid and the four derived vectors, which
-// share the Fig. 6 tail and differ only in the signal feeding it:
+// buildHybridSignal wires the signal stage feeding the Fig. 6 tail for one
+// hybrid-family vector and returns the node the tail should consume. Hybrid
+// and the four derived vectors share the tail and differ only here:
 //
 //   - Hybrid: single triangle oscillator at 10 kHz (Fig. 6)
 //   - CustomSignal: custom PeriodicWave oscillator (App. B)
@@ -384,24 +449,6 @@ func customWaveCoefficients() *webaudio.PeriodicWave {
 //     by a 440 Hz sine through gain-parameter connections (Fig. 8)
 //   - FM: the same arrangement with the modulator driving the carriers'
 //     frequency parameters instead (App. B)
-func (r *Runner) runHybridFamily(id ID, captureOffset int) (Fingerprint, error) {
-	rt := r.newRealtime()
-	signal, err := buildHybridSignal(rt, id)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	tail, err := buildHybridTail(rt, signal)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	if err := rt.CaptureAfter(captureBaseQuanta, captureOffset); err != nil {
-		return Fingerprint{}, err
-	}
-	return tail.fingerprint(id, r.digest)
-}
-
-// buildHybridSignal wires the signal stage feeding the Fig. 6 tail for one
-// hybrid-family vector and returns the node the tail should consume.
 func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 	var signal webaudio.Node
 

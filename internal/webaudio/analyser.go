@@ -146,6 +146,16 @@ func (a *AnalyserNode) computeSpectrum() {
 	}
 }
 
+// ResetSmoothing discards the smoothing history, so the next frequency-data
+// read is a first capture (τ = 0 over zeroed state), exactly as on a freshly
+// created analyser. Reads after it follow the spec semantics unchanged. A
+// caller that observes one render at several capture points uses it to make
+// each capture equal a capture of a fresh context rendered to that point.
+func (a *AnalyserNode) ResetSmoothing() {
+	a.haveData = false
+	clear(a.smoothed)
+}
+
 // GetFloatFrequencyData computes the dB spectrum of the most recent fftSize
 // frames into dst (length ≥ FrequencyBinCount). Bins with zero magnitude
 // come out as float32(-Inf), as in browsers. Each call advances the
